@@ -1,8 +1,6 @@
 #include "serve/admin.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "log/log.hpp"
@@ -13,29 +11,6 @@
 namespace bmfusion::serve {
 
 namespace {
-
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
 
 std::string http_response(int status, const char* reason,
                           const char* content_type, std::string_view body) {
@@ -57,38 +32,42 @@ std::string http_response(int status, const char* reason,
 }  // namespace
 
 std::string statusz_json(const SessionRegistry& sessions) {
-  std::ostringstream out;
-  out << "{\"ok\": true,\"server_version\": \"" << json_escape(kServerVersion)
-      << "\",\"wire_version\": " << kWireVersion
-      << ",\"uptime_s\": " << format_double(process_uptime_s())
-      << ",\"build\": {\"telemetry\": "
-      << (telemetry::enabled() ? "true" : "false")
-      << ",\"log_min_level\": " << BMFUSION_LOG_MIN_LEVEL << "}";
-  out << ",\"sessions\": [";
+  std::string out = "{\"ok\": true,\"server_version\": \"";
+  append_json_escaped(out, kServerVersion);
+  out += "\",\"wire_version\": " + std::to_string(kWireVersion);
+  out += ",\"uptime_s\": ";
+  append_json_number(out, process_uptime_s());
+  out += ",\"build\": {\"telemetry\": ";
+  out += telemetry::enabled() ? "true" : "false";
+  out += ",\"log_min_level\": " + std::to_string(BMFUSION_LOG_MIN_LEVEL);
+  out += "},\"sessions\": [";
   const std::vector<SessionSummary> summaries = sessions.summaries();
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const SessionSummary& s = summaries[i];
-    out << (i ? "," : "") << "{\"id\": \"" << json_escape(s.id)
-        << "\",\"estimator\": \"" << json_escape(s.estimator)
-        << "\",\"populations\": " << s.populations
-        << ",\"observed\": " << s.observed << "}";
+    out += i ? ",{\"id\": \"" : "{\"id\": \"";
+    append_json_escaped(out, s.id);
+    out += "\",\"estimator\": \"";
+    append_json_escaped(out, s.estimator);
+    out += "\",\"populations\": " + std::to_string(s.populations);
+    out += ",\"observed\": " + std::to_string(s.observed) + "}";
   }
-  out << "]";
+  out += "]";
   // Fusion health (tau^2 / shrinkage / per-population sample gauges) gets
   // its own section so dashboards need not know the gauge naming scheme.
   const telemetry::MetricsSnapshot snapshot =
       telemetry::Registry::instance().snapshot();
-  out << ",\"fusion\": {";
+  out += ",\"fusion\": {";
   bool first = true;
   for (const auto& g : snapshot.gauges) {
     if (g.name.rfind("fusion.", 0) != 0) continue;
-    out << (first ? "" : ",") << "\"" << json_escape(g.name)
-        << "\": " << format_double(g.value);
+    out += first ? "\"" : ",\"";
+    append_json_escaped(out, g.name);
+    out += "\": ";
+    append_json_number(out, g.value);
     first = false;
   }
-  out << "}";
-  out << ",\"metrics\": " << telemetry::json_snapshot_compact(snapshot) << "}";
-  return out.str();
+  out += "},\"metrics\": " + telemetry::json_snapshot_compact(snapshot) + "}";
+  return out;
 }
 
 std::string handle_admin_request(std::string_view method,

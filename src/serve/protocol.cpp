@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -34,7 +35,10 @@ std::uint64_t process_start_ns() {
 }
 
 double process_uptime_s() {
-  return static_cast<double>(telemetry::now_ns() - process_start_ns()) * 1e-9;
+  // Latch the start before reading the clock: the first call must not
+  // subtract a later start from an earlier now.
+  const std::uint64_t start = process_start_ns();
+  return static_cast<double>(telemetry::now_ns() - start) * 1e-9;
 }
 
 std::uint64_t next_request_id() {
@@ -53,127 +57,7 @@ double slow_request_threshold_us() {
          1e-3;
 }
 
-namespace {
-
-/// Known ops, indexing the per-op metric table. kUnknown also covers
-/// requests that fail before an op string was parsed.
-enum class OpId : std::size_t {
-  kPing = 0,
-  kHello,
-  kOpen,
-  kObserve,
-  kAbsorb,
-  kStats,
-  kEstimate,
-  kClose,
-  kShutdown,
-  kMetrics,
-  kUnknown,
-  kCount,
-};
-
-constexpr const char* kOpNames[] = {
-    "ping",  "hello",    "open",    "observe", "absorb", "stats",
-    "estimate", "close", "shutdown", "metrics", "unknown",
-};
-
-const char* op_name(OpId id) { return kOpNames[static_cast<std::size_t>(id)]; }
-
-#if BMFUSION_TELEMETRY_ENABLED
-/// Per-op request counter + latency histogram. The BMF_* macros cache one
-/// metric per call site, which cannot key on a runtime op — this table
-/// resolves every per-op metric once (first call registers, allocating),
-/// after which recording is lock- and allocation-free, preserving the
-/// hot-path contract the alloc-contract test checks.
-struct OpMetrics {
-  telemetry::Counter& requests;
-  telemetry::Histogram& latency_us;
-};
-
-const OpMetrics& op_metrics(OpId id) {
-  auto& reg = telemetry::Registry::instance();
-  static const std::array<OpMetrics, static_cast<std::size_t>(OpId::kCount)>
-      table{{
-          {reg.counter("serve.ping.requests"),
-           reg.histogram("serve.ping.latency_us")},
-          {reg.counter("serve.hello.requests"),
-           reg.histogram("serve.hello.latency_us")},
-          {reg.counter("serve.open.requests"),
-           reg.histogram("serve.open.latency_us")},
-          {reg.counter("serve.observe.requests"),
-           reg.histogram("serve.observe.latency_us")},
-          {reg.counter("serve.absorb.requests"),
-           reg.histogram("serve.absorb.latency_us")},
-          {reg.counter("serve.stats.requests"),
-           reg.histogram("serve.stats.latency_us")},
-          {reg.counter("serve.estimate.requests"),
-           reg.histogram("serve.estimate.latency_us")},
-          {reg.counter("serve.close.requests"),
-           reg.histogram("serve.close.latency_us")},
-          {reg.counter("serve.shutdown.requests"),
-           reg.histogram("serve.shutdown.latency_us")},
-          {reg.counter("serve.metrics.requests"),
-           reg.histogram("serve.metrics.latency_us")},
-          {reg.counter("serve.unknown.requests"),
-           reg.histogram("serve.unknown.latency_us")},
-      }};
-  return table[static_cast<std::size_t>(id)];
-}
-#endif
-
-void record_op(OpId id, std::uint64_t elapsed_ns) {
-#if BMFUSION_TELEMETRY_ENABLED
-  const OpMetrics& m = op_metrics(id);
-  m.requests.add(1);
-  m.latency_us.record(static_cast<double>(elapsed_ns) * 1e-3);
-#else
-  (void)id;
-  (void)elapsed_ns;
-#endif
-}
-
-/// Per-class error counters beside the aggregate serve.errors.
-enum class ErrorClass { kData, kConfig, kNumeric, kContract, kInternal };
-
-void record_error(ErrorClass cls) {
-  BMF_COUNTER_ADD("serve.errors", 1);
-  switch (cls) {
-    case ErrorClass::kData: BMF_COUNTER_ADD("serve.errors.data", 1); break;
-    case ErrorClass::kConfig:
-      BMF_COUNTER_ADD("serve.errors.config", 1);
-      break;
-    case ErrorClass::kNumeric:
-      BMF_COUNTER_ADD("serve.errors.numeric", 1);
-      break;
-    case ErrorClass::kContract:
-      BMF_COUNTER_ADD("serve.errors.contract", 1);
-      break;
-    case ErrorClass::kInternal:
-      BMF_COUNTER_ADD("serve.errors.internal", 1);
-      break;
-  }
-}
-
-/// Off the hot path by construction: only entered once a request already
-/// blew the slow threshold, so the structured log record and counter are
-/// free to allocate.
-void note_slow_request(OpId op, const std::string& session,
-                       std::uint64_t request_id, std::uint64_t elapsed_ns,
-                       std::size_t bytes) {
-  BMF_COUNTER_ADD("serve.slow_requests", 1);
-  BMF_LOG_WARN("slow serve request", log::f("op", op_name(op)),
-               log::f("session", session), log::f("request_id", request_id),
-               log::f("latency_us", static_cast<double>(elapsed_ns) * 1e-3),
-               log::f("bytes", bytes));
-}
-
-[[nodiscard]] bool past_slow_threshold(std::uint64_t elapsed_ns) {
-  const std::uint64_t slow_ns =
-      g_slow_threshold_ns.load(std::memory_order_relaxed);
-  return slow_ns != 0 && elapsed_ns >= slow_ns;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -194,9 +78,7 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-/// 17 significant digits round-trip doubles exactly; non-finite values
-/// (unselected hyper-parameters) have no JSON spelling and become null.
-void append_double(std::string& out, double value) {
+void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
     return;
@@ -206,376 +88,13 @@ void append_double(std::string& out, double value) {
   out += buffer;
 }
 
-void append_vector(std::string& out, const Vector& v) {
-  out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out += ',';
-    append_double(out, v[i]);
-  }
-  out += ']';
-}
-
-void append_matrix(std::string& out, const Matrix& m) {
-  out += '[';
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    if (r != 0) out += ',';
-    out += '[';
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (c != 0) out += ',';
-      append_double(out, m(r, c));
-    }
-    out += ']';
-  }
-  out += ']';
-}
-
-/// {"ok":true,"op":<op>,"session":<id>  — caller appends members + "}".
-std::string response_head(std::string_view op, std::string_view session) {
-  std::string out = "{\"ok\":true,\"op\":\"";
-  append_escaped(out, op);
-  out += '"';
-  if (!session.empty()) {
-    out += ",\"session\":\"";
-    append_escaped(out, session);
-    out += '"';
-  }
-  return out;
-}
-
-std::string error_response(std::string_view type, std::string_view message) {
+std::string json_error(std::string_view type, std::string_view message) {
   std::string out = "{\"ok\":false,\"error\":{\"type\":\"";
-  append_escaped(out, type);
+  append_json_escaped(out, type);
   out += "\",\"message\":\"";
-  append_escaped(out, message);
+  append_json_escaped(out, message);
   out += "\"}}";
   return out;
-}
-
-std::string required_string(const JsonValue& request, const char* key) {
-  const JsonValue* value = request.find(key);
-  if (value == nullptr || !value->is_string()) {
-    throw DataError(std::string("request needs a string \"") + key + "\"",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  return value->as_string();
-}
-
-const JsonValue& required_member(const JsonValue& request, const char* key) {
-  const JsonValue* value = request.find(key);
-  if (value == nullptr) {
-    throw DataError(std::string("request needs \"") + key + "\"",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  return *value;
-}
-
-std::string handle_open(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::shared_ptr<Session> session = registry.open(id, request);
-  std::string out = response_head("open", id);
-  out += ",\"estimator\":\"";
-  append_escaped(out, session->estimator_name());
-  out += "\"}";
-  return out;
-}
-
-/// Optional "population" member: a stream index of a fusion session. JSON
-/// numbers are doubles, so only exact nonnegative integers that fit the
-/// binary framing's u32 are accepted.
-std::size_t parse_population(const JsonValue& request) {
-  const JsonValue* value = request.find("population");
-  if (value == nullptr) return 0;
-  constexpr double kMaxPopulation = 4294967295.0;  // u32 max
-  const double raw = value->is_number() ? value->as_number() : -1.0;
-  if (!value->is_number() || raw < 0.0 || std::floor(raw) != raw ||
-      raw > kMaxPopulation) {
-    throw DataError(
-        "\"population\" must be a nonnegative integer no larger than 2^32-1",
-        ErrorContext{}.with_operation("serve_protocol").with_detail(
-            "field: population"));
-  }
-  return static_cast<std::size_t>(raw);
-}
-
-std::string handle_observe(SessionRegistry& registry,
-                           const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::size_t population = parse_population(request);
-  const Matrix samples =
-      parse_matrix(required_member(request, "samples"), "samples");
-  const std::size_t total = registry.get(id)->observe(samples, population);
-  BMF_COUNTER_ADD("serve.observed_samples", samples.rows());
-  std::string out = response_head("observe", id);
-  if (request.find("population") != nullptr) {
-    out += ",\"population\":" + std::to_string(population);
-  }
-  out += ",\"observed\":" + std::to_string(samples.rows());
-  out += ",\"total\":" + std::to_string(total) + "}";
-  return out;
-}
-
-std::string handle_absorb(SessionRegistry& registry,
-                          const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const stats::StatsShard shard =
-      stats::shard_from_json(required_member(request, "shard"));
-  const std::shared_ptr<Session> session = registry.get(id);
-  const bool absorbed = session->absorb(shard);
-  std::string out = response_head("absorb", id);
-  out += absorbed ? ",\"duplicate\":false" : ",\"duplicate\":true";
-  out += ",\"total\":" + std::to_string(session->observed_count()) + "}";
-  return out;
-}
-
-/// JSON numbers are doubles, so a shard id survives the trip only while it
-/// is an exactly-representable integer: non-integral values and anything
-/// above 2^53 would be silently mangled by the cast. Reject both.
-std::uint64_t parse_shard_id(const JsonValue& value) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  const double raw = value.is_number() ? value.as_number() : -1.0;
-  if (!value.is_number() || raw < 0.0 || std::floor(raw) != raw ||
-      raw > kMaxExact) {
-    throw DataError(
-        "\"shard_id\" must be a nonnegative integer no larger than 2^53",
-        ErrorContext{}.with_operation("serve_protocol").with_detail(
-            "field: shard_id"));
-  }
-  return static_cast<std::uint64_t>(raw);
-}
-
-std::string handle_stats(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::size_t population = parse_population(request);
-  std::uint64_t shard_id = 0;
-  if (const JsonValue* v = request.find("shard_id")) {
-    shard_id = parse_shard_id(*v);
-  }
-  const stats::StatsShard shard =
-      registry.get(id)->export_shard(shard_id, population);
-  std::string out = response_head("stats", id);
-  out += ",\"shard\":" + stats::shard_to_json(shard) + "}";
-  return out;
-}
-
-/// {"mean":[..],"covariance":[[..]],"kappa0":..,"nu0":..,"score":..}
-void append_estimate(std::string& out, const core::EstimateResult& result) {
-  out += "{\"mean\":";
-  append_vector(out, result.moments.mean);
-  out += ",\"covariance\":";
-  append_matrix(out, result.moments.covariance);
-  out += ",\"kappa0\":";
-  append_double(out, result.kappa0);
-  out += ",\"nu0\":";
-  append_double(out, result.nu0);
-  out += ",\"score\":";
-  append_double(out, result.score);
-  out += '}';
-}
-
-/// Joint fusion response: one entry per population with the fused estimate
-/// (headline), the independent posterior when the population has its own
-/// usable samples, and the borrowing diagnostics.
-std::string fusion_estimate_response(const std::string& id,
-                                     const Session& session) {
-  const fusion::FusionSnapshot snapshot = session.estimate_fusion();
-  std::string out = response_head("estimate", id);
-  out += ",\"count\":" + std::to_string(session.observed_count());
-  out += ",\"observed_populations\":" +
-         std::to_string(snapshot.observed_populations);
-  out += ",\"signal_variance\":";
-  append_double(out, snapshot.signal_variance);
-  out += ",\"correlation\":";
-  append_matrix(out, snapshot.correlation);
-  out += ",\"populations\":[";
-  for (std::size_t p = 0; p < snapshot.populations.size(); ++p) {
-    const fusion::PopulationEstimate& pop = snapshot.populations[p];
-    if (p != 0) out += ',';
-    out += "{\"population\":" + std::to_string(p);
-    out += ",\"name\":\"";
-    append_escaped(out, pop.name);
-    out += "\",\"observed\":" + std::to_string(pop.observed);
-    out += ",\"borrowed_kappa\":";
-    append_double(out, pop.borrowed_kappa);
-    out += ",\"anchor_shift\":";
-    append_double(out, pop.anchor_shift);
-    if (!pop.error.empty()) {
-      out += ",\"error\":\"";
-      append_escaped(out, pop.error);
-      out += '"';
-    }
-    out += ",\"fused\":";
-    append_estimate(out, pop.fused);
-    if (pop.observed > 0 && pop.error.empty()) {
-      out += ",\"independent\":";
-      append_estimate(out, pop.independent);
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
-std::string handle_estimate(SessionRegistry& registry,
-                            const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::shared_ptr<Session> session = registry.get(id);
-  if (session->is_fusion()) return fusion_estimate_response(id, *session);
-  const core::EstimateResult result = session->estimate();
-  std::string out = response_head("estimate", id);
-  out += ",\"count\":" + std::to_string(session->observed_count());
-  out += ",\"estimate\":";
-  append_estimate(out, result);
-  out += '}';
-  return out;
-}
-
-std::string handle_close(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  registry.close(id);
-  return response_head("close", id) + "}";
-}
-
-/// ,"server_version":"..","wire_version":N,"uptime_s":X — the compatibility
-/// triple ping/hello answer and /statusz echoes.
-void append_version_fields(std::string& out) {
-  out += ",\"server_version\":\"";
-  append_escaped(out, kServerVersion);
-  out += "\",\"wire_version\":";
-  out += std::to_string(kWireVersion);
-  out += ",\"uptime_s\":";
-  append_double(out, process_uptime_s());
-}
-
-std::string handle_ping(std::uint64_t request_id) {
-  std::string out = response_head("ping", "");
-  out += ",\"request_id\":" + std::to_string(request_id);
-  append_version_fields(out);
-  out += '}';
-  return out;
-}
-
-std::string handle_metrics(std::uint64_t request_id) {
-  std::string out = response_head("metrics", "");
-  out += ",\"request_id\":" + std::to_string(request_id);
-  append_version_fields(out);
-  out += ",\"telemetry\":";
-  out += telemetry::json_snapshot_compact();
-  out += '}';
-  return out;
-}
-
-std::string handle_hello(const JsonValue& request, bool& switch_to_binary) {
-  const std::string mode = request.string_or("mode", "json");
-  if (mode != "json" && mode != "binary") {
-    throw DataError("\"mode\" must be \"json\" or \"binary\"",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  switch_to_binary = mode == "binary";
-  std::string out = response_head("hello", "");
-  out += ",\"mode\":\"" + mode + "\"";
-  append_version_fields(out);
-  out += '}';
-  return out;
-}
-
-std::string dispatch(SessionRegistry& registry, const JsonValue& request,
-                     ProtocolResult& result, OpId& op_id,
-                     std::string& session) {
-  if (!request.is_object()) {
-    throw DataError("request must be a JSON object",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  const std::string op = required_string(request, "op");
-  if (const JsonValue* s = request.find("session");
-      s != nullptr && s->is_string()) {
-    session = s->as_string();
-  }
-  if (op == "ping") {
-    op_id = OpId::kPing;
-    return handle_ping(result.request_id);
-  }
-  if (op == "hello") {
-    op_id = OpId::kHello;
-    return handle_hello(request, result.switch_to_binary);
-  }
-  if (op == "open") {
-    op_id = OpId::kOpen;
-    return handle_open(registry, request);
-  }
-  if (op == "observe") {
-    op_id = OpId::kObserve;
-    return handle_observe(registry, request);
-  }
-  if (op == "absorb") {
-    op_id = OpId::kAbsorb;
-    return handle_absorb(registry, request);
-  }
-  if (op == "stats") {
-    op_id = OpId::kStats;
-    return handle_stats(registry, request);
-  }
-  if (op == "estimate") {
-    op_id = OpId::kEstimate;
-    return handle_estimate(registry, request);
-  }
-  if (op == "close") {
-    op_id = OpId::kClose;
-    return handle_close(registry, request);
-  }
-  if (op == "metrics") {
-    op_id = OpId::kMetrics;
-    return handle_metrics(result.request_id);
-  }
-  if (op == "shutdown") {
-    op_id = OpId::kShutdown;
-    result.shutdown = true;
-    return response_head("shutdown", "") + "}";
-  }
-  throw DataError("unknown op \"" + op + "\"",
-                  ErrorContext{}.with_operation("serve_protocol"));
-}
-
-}  // namespace
-
-ProtocolResult handle_request(SessionRegistry& registry,
-                              std::string_view line) {
-  const std::uint64_t start_ns = telemetry::now_ns();
-  BMF_COUNTER_ADD("serve.requests", 1);
-  ProtocolResult result;
-  result.request_id = next_request_id();
-  OpId op_id = OpId::kUnknown;
-  std::string session;
-  try {
-    const JsonValue request = parse_json(line);
-    BMF_HISTOGRAM_RECORD_US(
-        "serve.decode_us",
-        static_cast<double>(telemetry::now_ns() - start_ns) * 1e-3);
-    result.response = dispatch(registry, request, result, op_id, session);
-  } catch (const DataError& e) {
-    record_error(ErrorClass::kData);
-    result.response = error_response("DataError", e.what());
-  } catch (const ConfigError& e) {
-    record_error(ErrorClass::kConfig);
-    result.response = error_response("ConfigError", e.what());
-  } catch (const NumericError& e) {
-    record_error(ErrorClass::kNumeric);
-    result.response = error_response("NumericError", e.what());
-  } catch (const ContractError& e) {
-    record_error(ErrorClass::kContract);
-    result.response = error_response("ContractError", e.what());
-  } catch (const std::exception& e) {
-    record_error(ErrorClass::kInternal);
-    result.response = error_response("InternalError", e.what());
-  }
-  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
-  BMF_HISTOGRAM_RECORD_US("serve.request_us",
-                          static_cast<double>(elapsed_ns) * 1e-3);
-  record_op(op_id, elapsed_ns);
-  if (past_slow_threshold(elapsed_ns)) {
-    note_slow_request(op_id, session, result.request_id, elapsed_ns,
-                      line.size());
-  }
-  return result;
 }
 
 namespace {
@@ -591,10 +110,7 @@ class PayloadReader {
   std::uint32_t read_u32() { return read_scalar<std::uint32_t>(); }
   std::uint64_t read_u64() { return read_scalar<std::uint64_t>(); }
 
-  std::string_view read_string() {
-    const std::uint16_t size = read_u16();
-    return read_bytes(size);
-  }
+  std::string_view read_string() { return read_bytes(read_u16()); }
 
   std::string_view read_bytes(std::size_t size) {
     if (data_.size() - pos_ < size) fail("truncated");
@@ -603,12 +119,17 @@ class PayloadReader {
     return out;
   }
 
-  /// Everything not consumed yet (shard bytes trail the fixed fields).
-  std::string_view rest() {
-    const std::string_view out = data_.substr(pos_);
-    pos_ = data_.size();
-    return out;
+  /// rows * cols doubles (cols > 0). The count is checked against the
+  /// remaining bytes by division, so no product can wrap.
+  std::string_view read_doubles(std::size_t rows, std::size_t cols) {
+    if ((data_.size() - pos_) / sizeof(double) / cols < rows) {
+      fail("truncated");
+    }
+    return read_bytes(rows * cols * sizeof(double));
   }
+
+  /// Everything not consumed yet (shard bytes trail the fixed fields).
+  std::string_view rest() { return read_bytes(data_.size() - pos_); }
 
   void expect_consumed() const {
     if (pos_ != data_.size()) fail("trailing bytes");
@@ -617,10 +138,8 @@ class PayloadReader {
  private:
   template <typename T>
   T read_scalar() {
-    if (data_.size() - pos_ < sizeof(T)) fail("truncated");
     T value;
-    std::memcpy(&value, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    std::memcpy(&value, read_bytes(sizeof(T)).data(), sizeof(T));
     return value;
   }
 
@@ -636,146 +155,542 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
-std::string binary_observe(SessionRegistry& registry, std::uint16_t flags,
-                           std::string_view payload, std::string& session_id) {
-  PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const std::size_t population =
-      (flags & wire::kFlagPopulation) != 0 ? reader.read_u32() : 0;
-  const std::uint32_t rows = reader.read_u32();
-  const std::uint32_t cols = reader.read_u32();
+struct OpSpec;
+
+/// One request in flight, whichever wire mode carried it: the decoded
+/// fields, then what its op produced for the encoder.
+struct Call {
+  SessionRegistry& registry;
+  ProtocolResult& result;  ///< request id, shutdown, switch_to_binary
+  const OpSpec* op = nullptr;
+  JsonValue json{};  ///< JSON request (open spec, hello mode); null if framed
+  std::string session{};
+  std::size_t population = 0;
+  bool population_given = false;  ///< JSON observe echoes it back
+  Matrix samples{};               ///< observe
+  stats::StatsShard shard{};      ///< absorb: decoded; stats: exported
+  std::uint64_t shard_id = 0;     ///< stats
+  std::size_t total = 0;          ///< observe/absorb: session total after
+  bool duplicate = false;         ///< absorb
+  /// Ops without a native opcode have only the JSON encoding, so they
+  /// write their reply members while they run.
+  std::string members{};
+};
+
+/// One row per op: its wire names, how each mode decodes it, the one
+/// execution against the registry, and how each mode encodes the reply.
+/// Null decoders/encoders mean "nothing beyond the common fields".
+struct OpSpec {
+  const char* name;      ///< JSON "op" and metric infix (serve.<name>.*)
+  std::uint8_t opcode;   ///< native binary opcode; 0 = JSON (or kJson) only
+  bool session;          ///< carries a required session id
+  void (*from_json)(Call&);
+  void (*from_frame)(Call&, std::uint16_t flags, PayloadReader&);
+  void (*run)(Call&);
+  void (*to_json)(std::string&, const Call&);
+  void (*to_frame)(std::string&, const Call&);
+};
+
+const JsonValue& required_member(const JsonValue& request, const char* key) {
+  const JsonValue* value = request.find(key);
+  if (value == nullptr) {
+    throw DataError(std::string("request needs \"") + key + "\"",
+                    ErrorContext{}.with_operation("serve_protocol"));
+  }
+  return *value;
+}
+
+[[noreturn]] void missing_string(const char* key) {
+  throw DataError(std::string("request needs a string \"") + key + "\"",
+                  ErrorContext{}.with_operation("serve_protocol"));
+}
+
+/// JSON numbers are doubles, so an id survives the trip only as an exact
+/// nonnegative integer: non-integral values and anything above `max`
+/// (`max_text`) would be silently mangled by the cast. Reject both.
+std::uint64_t exact_id(const JsonValue& value, const char* field, double max,
+                       const char* max_text) {
+  const double raw = value.is_number() ? value.as_number() : -1.0;
+  if (raw < 0.0 || std::floor(raw) != raw || raw > max) {
+    throw DataError(std::string("\"") + field +
+                        "\" must be a nonnegative integer no larger than " +
+                        max_text,
+                    ErrorContext{}.with_operation("serve_protocol").with_detail(
+                        std::string("field: ") + field));
+  }
+  return static_cast<std::uint64_t>(raw);
+}
+
+/// Optional "population" member: a stream index of a fusion session, as
+/// wide as the binary framing's u32.
+void population_from_json(Call& c) {
+  const JsonValue* value = c.json.find("population");
+  if (value == nullptr) return;
+  c.population = exact_id(*value, "population", 4294967295.0, "2^32-1");
+  c.population_given = true;
+}
+
+void population_from_frame(Call& c, std::uint16_t flags, PayloadReader& in) {
+  if ((flags & wire::kFlagPopulation) != 0) c.population = in.read_u32();
+}
+
+/// ,"server_version":"..","wire_version":N,"uptime_s":X — the compatibility
+/// triple ping/hello answer and /statusz echoes.
+void append_version_fields(std::string& out) {
+  out += ",\"server_version\":\"";
+  append_json_escaped(out, kServerVersion);
+  out += "\",\"wire_version\":";
+  out += std::to_string(kWireVersion);
+  out += ",\"uptime_s\":";
+  append_json_number(out, process_uptime_s());
+}
+
+void append_vector(std::string& out, const Vector& v) {
+  out += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out += ',';
+    append_json_number(out, v[i]);
+  }
+  out += ']';
+}
+
+void append_matrix(std::string& out, const Matrix& m) {
+  out += '[';
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    if (r != 0) out += ',';
+    out += '[';
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      if (c != 0) out += ',';
+      append_json_number(out, m(r, c));
+    }
+    out += ']';
+  }
+  out += ']';
+}
+
+/// {"mean":[..],"covariance":[[..]],"kappa0":..,"nu0":..,"score":..}
+void append_estimate(std::string& out, const core::EstimateResult& result) {
+  out += "{\"mean\":";
+  append_vector(out, result.moments.mean);
+  out += ",\"covariance\":";
+  append_matrix(out, result.moments.covariance);
+  out += ",\"kappa0\":";
+  append_json_number(out, result.kappa0);
+  out += ",\"nu0\":";
+  append_json_number(out, result.nu0);
+  out += ",\"score\":";
+  append_json_number(out, result.score);
+  out += '}';
+}
+
+/// Joint fusion reply: one entry per population with the fused estimate
+/// (headline), the independent posterior when the population has its own
+/// usable samples, and the borrowing diagnostics.
+void append_fusion(std::string& out, const fusion::FusionSnapshot& snapshot) {
+  out += ",\"observed_populations\":" +
+         std::to_string(snapshot.observed_populations);
+  out += ",\"signal_variance\":";
+  append_json_number(out, snapshot.signal_variance);
+  out += ",\"correlation\":";
+  append_matrix(out, snapshot.correlation);
+  out += ",\"populations\":[";
+  for (std::size_t p = 0; p < snapshot.populations.size(); ++p) {
+    const fusion::PopulationEstimate& pop = snapshot.populations[p];
+    if (p != 0) out += ',';
+    out += "{\"population\":" + std::to_string(p);
+    out += ",\"name\":\"";
+    append_json_escaped(out, pop.name);
+    out += "\",\"observed\":" + std::to_string(pop.observed);
+    out += ",\"borrowed_kappa\":";
+    append_json_number(out, pop.borrowed_kappa);
+    out += ",\"anchor_shift\":";
+    append_json_number(out, pop.anchor_shift);
+    if (!pop.error.empty()) {
+      out += ",\"error\":\"";
+      append_json_escaped(out, pop.error);
+      out += '"';
+    }
+    out += ",\"fused\":";
+    append_estimate(out, pop.fused);
+    if (pop.observed > 0 && pop.error.empty()) {
+      out += ",\"independent\":";
+      append_estimate(out, pop.independent);
+    }
+    out += '}';
+  }
+  out += ']';
+}
+
+// ---------------------------------------------------------------- the ops
+
+void ping_json(std::string& out, const Call& c) {
+  out += ",\"request_id\":" + std::to_string(c.result.request_id);
+  append_version_fields(out);
+}
+
+void run_hello(Call& c) {
+  const std::string mode = c.json.string_or("mode", "json");
+  if (mode != "json" && mode != "binary") {
+    throw DataError("\"mode\" must be \"json\" or \"binary\"",
+                    ErrorContext{}.with_operation("serve_protocol"));
+  }
+  c.result.switch_to_binary = mode == "binary";
+  c.members = ",\"mode\":\"" + mode + "\"";
+  append_version_fields(c.members);
+}
+
+void run_open(Call& c) {
+  const std::shared_ptr<Session> session = c.registry.open(c.session, c.json);
+  c.members = ",\"estimator\":\"";
+  append_json_escaped(c.members, session->estimator_name());
+  c.members += '"';
+}
+
+void observe_from_json(Call& c) {
+  population_from_json(c);
+  c.samples = parse_samples(required_member(c.json, "samples"));
+}
+
+void observe_from_frame(Call& c, std::uint16_t flags, PayloadReader& in) {
+  population_from_frame(c, flags, in);
+  const std::uint32_t rows = in.read_u32();
+  const std::uint32_t cols = in.read_u32();
   if (rows == 0 || cols == 0) {
     throw DataError("observe frame needs rows > 0 and cols > 0",
                     ErrorContext{}.with_operation("serve_binary"));
   }
-  const std::string_view cells =
-      reader.read_bytes(static_cast<std::size_t>(rows) * cols *
-                        sizeof(double));
-  reader.expect_consumed();
-  Matrix samples(rows, cols);
-  std::memcpy(samples.data(), cells.data(), cells.size());
-  const std::size_t total =
-      registry.get(session_id)->observe(samples, population);
-  BMF_COUNTER_ADD("serve.observed_samples", rows);
-  std::string out;
-  wire::append_u32(out, rows);
-  wire::append_u64(out, total);
-  return out;
+  const std::string_view cells = in.read_doubles(rows, cols);
+  in.expect_consumed();
+  c.samples = Matrix(rows, cols);
+  std::memcpy(c.samples.data(), cells.data(), cells.size());
 }
 
-std::string binary_absorb(SessionRegistry& registry, std::string_view payload,
-                          std::string& session_id) {
-  PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const stats::StatsShard shard = stats::parse_shard(reader.rest());
-  const std::shared_ptr<Session> session = registry.get(session_id);
-  const bool absorbed = session->absorb(shard);
-  std::string out;
-  out += static_cast<char>(absorbed ? 0 : 1);  // duplicate marker
-  wire::append_u64(out, session->observed_count());
-  return out;
+void run_observe(Call& c) {
+  c.total = c.registry.get(c.session)->observe(c.samples, c.population);
+  BMF_COUNTER_ADD("serve.observed_samples", c.samples.rows());
 }
 
-std::string binary_stats(SessionRegistry& registry, std::uint16_t flags,
-                         std::string_view payload, std::string& session_id) {
-  PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const std::size_t population =
-      (flags & wire::kFlagPopulation) != 0 ? reader.read_u32() : 0;
-  const std::uint64_t shard_id = reader.read_u64();
-  reader.expect_consumed();
-  const stats::StatsShard shard =
-      registry.get(session_id)->export_shard(shard_id, population);
-  return stats::serialize_shard(shard);
+void observe_json(std::string& out, const Call& c) {
+  if (c.population_given) {
+    out += ",\"population\":" + std::to_string(c.population);
+  }
+  out += ",\"observed\":" + std::to_string(c.samples.rows());
+  out += ",\"total\":" + std::to_string(c.total);
 }
 
-std::string binary_error_payload(std::string_view type,
-                                 std::string_view message) {
-  std::string out;
-  wire::append_string(out, type);
-  out.append(message);
-  return out;
+void observe_frame(std::string& out, const Call& c) {
+  wire::append_u32(out, static_cast<std::uint32_t>(c.samples.rows()));
+  wire::append_u64(out, c.total);
+}
+
+void absorb_from_json(Call& c) {
+  c.shard = stats::shard_from_json(required_member(c.json, "shard"));
+}
+
+void absorb_from_frame(Call& c, std::uint16_t, PayloadReader& in) {
+  c.shard = stats::parse_shard(in.rest());
+}
+
+void run_absorb(Call& c) {
+  const std::shared_ptr<Session> session = c.registry.get(c.session);
+  c.duplicate = !session->absorb(c.shard);
+  c.total = session->observed_count();
+}
+
+void absorb_json(std::string& out, const Call& c) {
+  out += c.duplicate ? ",\"duplicate\":true" : ",\"duplicate\":false";
+  out += ",\"total\":" + std::to_string(c.total);
+}
+
+void absorb_frame(std::string& out, const Call& c) {
+  out += static_cast<char>(c.duplicate ? 1 : 0);
+  wire::append_u64(out, c.total);
+}
+
+void stats_from_json(Call& c) {
+  population_from_json(c);
+  if (const JsonValue* v = c.json.find("shard_id")) {
+    c.shard_id = exact_id(*v, "shard_id", 9007199254740992.0, "2^53");
+  }
+}
+
+void stats_from_frame(Call& c, std::uint16_t flags, PayloadReader& in) {
+  population_from_frame(c, flags, in);
+  c.shard_id = in.read_u64();
+  in.expect_consumed();
+}
+
+void run_stats(Call& c) {
+  c.shard = c.registry.get(c.session)->export_shard(c.shard_id, c.population);
+}
+
+void stats_json(std::string& out, const Call& c) {
+  out += ",\"shard\":" + stats::shard_to_json(c.shard);
+}
+
+void stats_frame(std::string& out, const Call& c) {
+  out += stats::serialize_shard(c.shard);
+}
+
+void run_estimate(Call& c) {
+  const std::shared_ptr<Session> session = c.registry.get(c.session);
+  if (session->is_fusion()) {
+    const fusion::FusionSnapshot snapshot = session->estimate_fusion();
+    c.members = ",\"count\":" + std::to_string(session->observed_count());
+    append_fusion(c.members, snapshot);
+    return;
+  }
+  const core::EstimateResult result = session->estimate();
+  c.members = ",\"count\":" + std::to_string(session->observed_count());
+  c.members += ",\"estimate\":";
+  append_estimate(c.members, result);
+}
+
+void run_close(Call& c) { c.registry.close(c.session); }
+
+void run_shutdown(Call& c) { c.result.shutdown = true; }
+
+void run_metrics(Call& c) {
+  ping_json(c.members, c);
+  c.members += ",\"telemetry\":";
+  c.members += telemetry::json_snapshot_compact();
+}
+
+void run_nothing(Call&) {}
+
+/// The one list of ops. Metric names, JSON dispatch and the opcode mapping
+/// all come from it; the last row accounts requests that never named a
+/// known op.
+constexpr OpSpec kOps[] = {
+    {"ping", wire::kPing, false, nullptr, nullptr, run_nothing, ping_json,
+     nullptr},
+    {"hello", 0, false, nullptr, nullptr, run_hello, nullptr, nullptr},
+    {"open", 0, true, nullptr, nullptr, run_open, nullptr, nullptr},
+    {"observe", wire::kObserve, true, observe_from_json, observe_from_frame,
+     run_observe, observe_json, observe_frame},
+    {"absorb", wire::kAbsorb, true, absorb_from_json, absorb_from_frame,
+     run_absorb, absorb_json, absorb_frame},
+    {"stats", wire::kStats, true, stats_from_json, stats_from_frame,
+     run_stats, stats_json, stats_frame},
+    {"estimate", 0, true, nullptr, nullptr, run_estimate, nullptr, nullptr},
+    {"close", 0, true, nullptr, nullptr, run_close, nullptr, nullptr},
+    {"shutdown", 0, false, nullptr, nullptr, run_shutdown, nullptr, nullptr},
+    {"metrics", 0, false, nullptr, nullptr, run_metrics, nullptr, nullptr},
+    {"unknown", 0, false, nullptr, nullptr, nullptr, nullptr, nullptr},
+};
+constexpr std::size_t kOpCount = std::size(kOps);
+constexpr const OpSpec& kUnknownOp = kOps[kOpCount - 1];
+
+// ------------------------------------------------------------ accounting
+
+void record_op(const OpSpec& op, std::uint64_t elapsed_ns) {
+#if BMFUSION_TELEMETRY_ENABLED
+  // The BMF_* macros cache one metric per call site, which cannot key on a
+  // runtime op: this table resolves every per-op metric once (first call
+  // registers, allocating), after which recording is lock- and
+  // allocation-free, as the hot-path contract requires.
+  struct OpMetrics {
+    telemetry::Counter* requests;
+    telemetry::Histogram* latency_us;
+  };
+  static const std::array<OpMetrics, kOpCount> metrics = [] {
+    auto& reg = telemetry::Registry::instance();
+    std::array<OpMetrics, kOpCount> table{};
+    for (std::size_t i = 0; i < kOpCount; ++i) {
+      const std::string prefix = std::string("serve.") + kOps[i].name;
+      table[i] = {&reg.counter(prefix + ".requests"),
+                  &reg.histogram(prefix + ".latency_us")};
+    }
+    return table;
+  }();
+  const OpMetrics& m = metrics[static_cast<std::size_t>(&op - kOps)];
+  m.requests->add(1);
+  m.latency_us->record(static_cast<double>(elapsed_ns) * 1e-3);
+#else
+  (void)op;
+  (void)elapsed_ns;
+#endif
+}
+
+/// Ticks serve.errors plus the per-class counter and returns the error's
+/// wire type name. ConfigError is a ContractError, so it is tested first.
+const char* record_error(const std::exception& e) {
+  BMF_COUNTER_ADD("serve.errors", 1);
+  if (dynamic_cast<const DataError*>(&e) != nullptr) {
+    BMF_COUNTER_ADD("serve.errors.data", 1);
+    return "DataError";
+  }
+  if (dynamic_cast<const ConfigError*>(&e) != nullptr) {
+    BMF_COUNTER_ADD("serve.errors.config", 1);
+    return "ConfigError";
+  }
+  if (dynamic_cast<const NumericError*>(&e) != nullptr) {
+    BMF_COUNTER_ADD("serve.errors.numeric", 1);
+    return "NumericError";
+  }
+  if (dynamic_cast<const ContractError*>(&e) != nullptr) {
+    BMF_COUNTER_ADD("serve.errors.contract", 1);
+    return "ContractError";
+  }
+  BMF_COUNTER_ADD("serve.errors.internal", 1);
+  return "InternalError";
+}
+
+/// Off the hot path by construction: only entered once a request already
+/// blew the slow threshold, so the structured log record and counter are
+/// free to allocate.
+void note_slow_request(const OpSpec& op, const std::string& session,
+                       std::uint64_t request_id, std::uint64_t elapsed_ns,
+                       std::size_t bytes) {
+  BMF_COUNTER_ADD("serve.slow_requests", 1);
+  BMF_LOG_WARN("slow serve request", log::f("op", op.name),
+               log::f("session", session), log::f("request_id", request_id),
+               log::f("latency_us", static_cast<double>(elapsed_ns) * 1e-3),
+               log::f("bytes", bytes));
+}
+
+// ---------------------------------------------------------------- codecs
+
+/// JSON lines: one object in, one object out.
+struct JsonCodec {
+  /// serve.request_us (whole request, decode included) is recorded for
+  /// JSON only: on the binary hot path the per-op histogram carries the
+  /// timing, and the aggregate would be a second bucket scan per request.
+  static constexpr bool kRecordsRequestUs = true;
+
+  static void decode(std::string_view line, Call& call) {
+    const std::uint64_t start_ns = telemetry::now_ns();
+    call.json = parse_json(line);
+    BMF_HISTOGRAM_RECORD_US(
+        "serve.decode_us",
+        static_cast<double>(telemetry::now_ns() - start_ns) * 1e-3);
+    if (!call.json.is_object()) {
+      throw DataError("request must be a JSON object",
+                      ErrorContext{}.with_operation("serve_protocol"));
+    }
+    const JsonValue* name = call.json.find("op");
+    if (name == nullptr || !name->is_string()) missing_string("op");
+    const JsonValue* session = call.json.find("session");
+    const bool has_session = session != nullptr && session->is_string();
+    if (has_session) call.session = session->as_string();
+    for (const OpSpec& op : kOps) {
+      if (&op != &kUnknownOp && name->as_string() == op.name) call.op = &op;
+    }
+    if (call.op == &kUnknownOp) {
+      throw DataError("unknown op \"" + name->as_string() + "\"",
+                      ErrorContext{}.with_operation("serve_protocol"));
+    }
+    if (call.op->session && !has_session) missing_string("session");
+    if (call.op->from_json != nullptr) call.op->from_json(call);
+  }
+
+  static void encode(const Call& call, std::string& out) {
+    out = "{\"ok\":true,\"op\":\"";
+    out += call.op->name;
+    out += '"';
+    if (call.op->session && !call.session.empty()) {
+      out += ",\"session\":\"";
+      append_json_escaped(out, call.session);
+      out += '"';
+    }
+    if (call.op->to_json != nullptr) call.op->to_json(out, call);
+    out += call.members;
+    out += '}';
+  }
+
+  static void error(std::string& out, std::string_view type,
+                    std::string_view message) {
+    out = json_error(type, message);
+  }
+};
+
+/// Binary frames: the header is already stripped; replies echo the opcode.
+struct FrameCodec {
+  static constexpr bool kRecordsRequestUs = false;
+
+  std::uint8_t opcode;
+  std::uint16_t flags;
+
+  void decode(std::string_view payload, Call& call) const {
+    for (const OpSpec& op : kOps) {
+      if (op.opcode != 0 && op.opcode == opcode) call.op = &op;
+    }
+    if (call.op == &kUnknownOp) {
+      throw DataError("unknown binary opcode " + std::to_string(opcode),
+                      ErrorContext{}.with_operation("serve_binary"));
+    }
+    PayloadReader in(payload);
+    if (call.op->session) call.session.assign(in.read_string());
+    if (call.op->from_frame != nullptr) call.op->from_frame(call, flags, in);
+  }
+
+  void encode(const Call& call, std::string& out) const {
+    std::string body;
+    if (call.op->to_frame != nullptr) call.op->to_frame(body, call);
+    wire::append_frame(out, opcode, 0, body);
+  }
+
+  void error(std::string& out, std::string_view type,
+             std::string_view message) const {
+    wire::append_error_frame(out, opcode, type, message);
+  }
+};
+
+/// The one accounting and error wrapper behind both wire modes: times the
+/// request, draws its id, decodes, runs and encodes it through `codec`,
+/// turns any std::exception into the codec's in-band error, then records
+/// the per-op metrics and the slow-request trace.
+template <typename Codec>
+ProtocolResult serve_request(SessionRegistry& registry, std::string_view bytes,
+                             const Codec& codec) {
+  const std::uint64_t start_ns = telemetry::now_ns();
+  BMF_COUNTER_ADD("serve.requests", 1);
+  ProtocolResult result;
+  result.request_id = next_request_id();
+  Call call{.registry = registry, .result = result, .op = &kUnknownOp};
+  try {
+    codec.decode(bytes, call);
+    call.op->run(call);
+    codec.encode(call, result.response);
+  } catch (const std::exception& e) {
+    result.response.clear();
+    codec.error(result.response, record_error(e), e.what());
+  }
+  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
+  if constexpr (Codec::kRecordsRequestUs) {
+    BMF_HISTOGRAM_RECORD_US("serve.request_us",
+                            static_cast<double>(elapsed_ns) * 1e-3);
+  }
+  record_op(*call.op, elapsed_ns);
+  const std::uint64_t slow_ns =
+      g_slow_threshold_ns.load(std::memory_order_relaxed);
+  if (slow_ns != 0 && elapsed_ns >= slow_ns) {
+    note_slow_request(*call.op, call.session, result.request_id, elapsed_ns,
+                      bytes.size());
+  }
+  return result;
 }
 
 }  // namespace
 
-BinaryResult handle_binary_request(SessionRegistry& registry,
-                                   std::uint8_t opcode, std::uint16_t req_flags,
-                                   std::string_view payload) {
-  BinaryResult result;
-  // The kJson escape hatch routes through handle_request, which does its
-  // own counting/timing; only native binary ops are accounted for here.
+ProtocolResult handle_request(SessionRegistry& registry,
+                              std::string_view line) {
+  return serve_request(registry, line, JsonCodec{});
+}
+
+ProtocolResult handle_binary_request(SessionRegistry& registry,
+                                     std::uint8_t opcode,
+                                     std::uint16_t flags,
+                                     std::string_view payload) {
+  // The kJson escape hatch is counted and timed once, by the JSON path.
   if (opcode == wire::kJson) {
-    const ProtocolResult json = handle_request(registry, payload);
-    result.shutdown = json.shutdown;
-    result.request_id = json.request_id;
-    wire::append_frame(result.response, opcode, 0, json.response);
+    ProtocolResult result = handle_request(registry, payload);
+    std::string frame;
+    wire::append_frame(frame, opcode, 0, result.response);
+    result.response = std::move(frame);
     return result;
   }
-  const std::uint64_t start_ns = telemetry::now_ns();
-  BMF_COUNTER_ADD("serve.requests", 1);
-  result.request_id = next_request_id();
-  OpId op_id = OpId::kUnknown;
-  switch (opcode) {
-    case wire::kObserve: op_id = OpId::kObserve; break;
-    case wire::kAbsorb: op_id = OpId::kAbsorb; break;
-    case wire::kStats: op_id = OpId::kStats; break;
-    case wire::kPing: op_id = OpId::kPing; break;
-    default: break;
-  }
-  std::string body;
-  std::string session;
-  std::uint16_t flags = 0;
-  try {
-    switch (opcode) {
-      case wire::kObserve:
-        body = binary_observe(registry, req_flags, payload, session);
-        break;
-      case wire::kAbsorb:
-        body = binary_absorb(registry, payload, session);
-        break;
-      case wire::kStats:
-        body = binary_stats(registry, req_flags, payload, session);
-        break;
-      case wire::kPing: break;
-      default:
-        throw DataError(
-            "unknown binary opcode " + std::to_string(opcode),
-            ErrorContext{}.with_operation("serve_binary"));
-    }
-  } catch (const DataError& e) {
-    record_error(ErrorClass::kData);
-    flags = wire::kFlagError;
-    body = binary_error_payload("DataError", e.what());
-  } catch (const ConfigError& e) {
-    record_error(ErrorClass::kConfig);
-    flags = wire::kFlagError;
-    body = binary_error_payload("ConfigError", e.what());
-  } catch (const NumericError& e) {
-    record_error(ErrorClass::kNumeric);
-    flags = wire::kFlagError;
-    body = binary_error_payload("NumericError", e.what());
-  } catch (const ContractError& e) {
-    record_error(ErrorClass::kContract);
-    flags = wire::kFlagError;
-    body = binary_error_payload("ContractError", e.what());
-  } catch (const std::exception& e) {
-    record_error(ErrorClass::kInternal);
-    flags = wire::kFlagError;
-    body = binary_error_payload("InternalError", e.what());
-  }
-  wire::append_frame(result.response, opcode, flags, body);
-  // No serve.request_us record here: on the binary hot path the per-op
-  // latency histogram (record_op) already carries the timing, and the
-  // aggregate would be a second bucket scan per request. serve.request_us
-  // stays JSON-transport-only (where it additionally covers decode).
-  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
-  record_op(op_id, elapsed_ns);
-  if (past_slow_threshold(elapsed_ns)) {
-    note_slow_request(op_id, session, result.request_id, elapsed_ns,
-                      payload.size());
-  }
-  return result;
+  return serve_request(registry, payload, FrameCodec{opcode, flags});
 }
 
 }  // namespace bmfusion::serve

@@ -1,6 +1,14 @@
 // Request protocol shared by the TCP server and the stdio loop: JSON lines
 // plus a negotiated length-prefixed binary framing for the hot ops.
 //
+// One request path serves both wire modes. Each mode's decoder turns its
+// bytes into one decoded request; one op table (protocol.cpp) names every
+// op once, with its JSON name, its native opcode if it has one, and the one
+// function that executes it against the SessionRegistry; two small
+// encoders write the reply as a JSON line or as a frame. Accounting (request
+// ids, per-op metrics, error classes, slow-request tracing) wraps that path
+// once, so both modes count and fail the same way.
+//
 // JSON mode (the default): one request per line, one response per line;
 // both are single JSON objects. Requests carry an "op" plus op-specific
 // members:
@@ -14,6 +22,8 @@
 //   {"op":"absorb","session":"s1","shard":{...stat_wire JSON...}}
 //   {"op":"stats","session":"s1","shard_id":7}
 //   {"op":"estimate","session":"s1"}
+//   {"op":"close","session":"s1"}
+//   {"op":"shutdown"}
 //
 // Multi-population fusion sessions ({"estimator":"fusion"}, see
 // serve/session.hpp for the spec) add an optional "population" member to
@@ -21,8 +31,6 @@
 // routes by the population id carried inside the shard itself, and
 // estimate answers the joint snapshot (one fused + independent estimate
 // per population).
-//   {"op":"close","session":"s1"}
-//   {"op":"shutdown"}
 //
 // Every response is {"ok":true,...} or, on failure,
 // {"ok":false,"error":{"type":"DataError","message":"..."}} — errors are
@@ -32,10 +40,10 @@
 //
 // Observability: every request draws a process-wide monotonic request id
 // (echoed by "ping" and "metrics" responses and carried on every
-// ProtocolResult/BinaryResult). "ping" and "hello" responses report
-// server_version, wire_version and uptime_s so peers can assert
-// compatibility. Requests slower than the process-wide slow-request
-// threshold (set_slow_request_threshold_us, default off) emit a structured
+// ProtocolResult). "ping" and "hello" responses report server_version,
+// wire_version and uptime_s so peers can assert compatibility. Requests
+// slower than the process-wide slow-request threshold
+// (set_slow_request_threshold_us, default off) emit a structured
 // BMF_LOG_WARN with op/session/request id/latency/bytes and bump the
 // serve.slow_requests counter. Per-op counters (serve.<op>.requests) and
 // latency histograms (serve.<op>.latency_us) are recorded for both wire
@@ -68,8 +76,8 @@
 //   kPing     (empty)
 //   kJson     the JSON response object text
 //
-// The sample matrix and the shard travel as raw doubles / the PR 6
-// stat_wire frame, so the JSON mirror is off the hot path entirely.
+// The sample matrix and the shard travel as raw doubles / the stat_wire
+// frame, so the binary path never touches JSON.
 #pragma once
 
 #include <cstdint>
@@ -166,10 +174,37 @@ inline void append_string(std::string& out, std::string_view text) {
   out.append(text);
 }
 
+/// Appends an error frame: a header with kFlagError set, then the
+/// u16-length-prefixed error type and the message bytes.
+inline void append_error_frame(std::string& out, std::uint8_t opcode,
+                               std::string_view type,
+                               std::string_view message) {
+  append_frame_header(
+      out, opcode, kFlagError,
+      static_cast<std::uint32_t>(sizeof(std::uint16_t) + type.size() +
+                                 message.size()));
+  append_string(out, type);
+  out.append(message);
+}
+
 }  // namespace wire
 
+/// JSON text writers shared by the protocol and the admin plane.
+/// append_json_escaped writes `text` as the inside of a JSON string (every
+/// control byte escaped); append_json_number writes 17 significant digits,
+/// which round-trip doubles exactly, and null for non-finite values.
+void append_json_escaped(std::string& out, std::string_view text);
+void append_json_number(std::string& out, double value);
+
+/// {"ok":false,"error":{"type":<type>,"message":<message>}} (no newline).
+[[nodiscard]] std::string json_error(std::string_view type,
+                                     std::string_view message);
+
 struct ProtocolResult {
-  std::string response;   ///< one JSON object, no trailing newline
+  /// The reply: one JSON object without a trailing newline from
+  /// handle_request, one complete frame (header + payload) from
+  /// handle_binary_request.
+  std::string response;
   bool shutdown = false;  ///< true after a "shutdown" op
   /// True after {"op":"hello","mode":"binary"}: the transport should switch
   /// this connection to binary frames once `response` is on the wire. The
@@ -185,21 +220,14 @@ struct ProtocolResult {
 [[nodiscard]] ProtocolResult handle_request(SessionRegistry& registry,
                                             std::string_view line);
 
-struct BinaryResult {
-  std::string response;   ///< one complete response frame (header + payload)
-  bool shutdown = false;  ///< true after a kJson-carried "shutdown"
-  /// The monotonic id assigned to this request.
-  std::uint64_t request_id = 0;
-};
-
 /// Executes one binary frame (already stripped of its header) against
 /// `registry` and builds the response frame. Malformed payloads answer
 /// with an error frame, exactly like the JSON path answers in-band.
 /// `flags` are the request's header flags (wire::kFlagPopulation switches
 /// the payload layout of kObserve/kStats); unknown bits are ignored.
-[[nodiscard]] BinaryResult handle_binary_request(SessionRegistry& registry,
-                                                 std::uint8_t opcode,
-                                                 std::uint16_t flags,
-                                                 std::string_view payload);
+[[nodiscard]] ProtocolResult handle_binary_request(SessionRegistry& registry,
+                                                   std::uint8_t opcode,
+                                                   std::uint16_t flags,
+                                                   std::string_view payload);
 
 }  // namespace bmfusion::serve

@@ -79,12 +79,6 @@ int listen_loopback(std::uint16_t port, int backlog,
   return fd;
 }
 
-std::string oversized_line_response(std::size_t limit) {
-  return "{\"ok\":false,\"error\":{\"type\":\"DataError\",\"message\":"
-         "\"request exceeds max_request_bytes (" +
-         std::to_string(limit) + ")\"}}\n";
-}
-
 }  // namespace
 
 /// One epoll loop: owns its connections outright (fd, buffers, framing
@@ -350,83 +344,21 @@ class Server::IoLoop {
   /// when the connection was destroyed.
   bool process_buffered(Connection& conn) {
     if (conn.admin) return process_admin(conn);
-    const std::size_t limit = server_.config_.max_request_bytes;
-    bool fatal = false;
     std::size_t handled = 0;
-    while (!fatal) {
-      if (!conn.binary) {
-        const std::size_t scan_from = std::max(conn.in_pos, conn.scan_pos);
-        const std::size_t newline = conn.in.find('\n', scan_from);
-        if (newline == std::string::npos) {
-          conn.scan_pos = conn.in.size();
-          if (conn.in.size() - conn.in_pos > limit) {
-            reject_oversized(conn, oversized_line_response(limit));
-            fatal = true;
-          }
-          break;
-        }
-        std::string_view line(conn.in.data() + conn.in_pos,
-                              newline - conn.in_pos);
-        conn.in_pos = newline + 1;
-        conn.scan_pos = conn.in_pos;
-        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-        if (line.empty()) continue;
-        if (line.size() > limit) {
-          reject_oversized(conn, oversized_line_response(limit));
-          fatal = true;
-          break;
-        }
-        ProtocolResult result = handle_request(server_.sessions_, line);
-        ++handled;
-        conn.out += result.response;
-        conn.out += '\n';
-        if (result.switch_to_binary) conn.binary = true;
-        if (result.shutdown) {
-          conn.close_after_flush = true;
-          server_.request_stop();
-          fatal = true;  // stop parsing; the drain flushes the response
-        }
-      } else {
-        const std::size_t available = conn.in.size() - conn.in_pos;
-        if (available < wire::kHeaderBytes) break;
-        const unsigned char* head = reinterpret_cast<const unsigned char*>(
-            conn.in.data() + conn.in_pos);
-        const std::uint8_t opcode = head[1];
-        std::uint16_t req_flags = 0;
-        std::memcpy(&req_flags, head + 2, sizeof req_flags);
-        std::uint32_t payload_size = 0;
-        std::memcpy(&payload_size, head + 4, sizeof payload_size);
-        if (head[0] != wire::kMagic || payload_size > limit) {
-          // No way to resync a corrupt or oversized frame stream: answer
-          // once, then close.
-          std::string error;
-          wire::append_string(
-              error, "DataError");
-          error += head[0] != wire::kMagic
-                       ? "bad frame magic"
-                       : "frame exceeds max_request_bytes (" +
-                             std::to_string(limit) + ")";
-          std::string frame;
-          wire::append_frame(frame, opcode, wire::kFlagError, error);
-          reject_oversized(conn, frame);
-          fatal = true;
-          break;
-        }
-        if (available < wire::kHeaderBytes + payload_size) break;
-        const std::string_view payload(
-            conn.in.data() + conn.in_pos + wire::kHeaderBytes, payload_size);
-        conn.in_pos += wire::kHeaderBytes + payload_size;
-        conn.scan_pos = conn.in_pos;
-        BinaryResult result =
-            handle_binary_request(server_.sessions_, opcode, req_flags,
-                                  payload);
-        ++handled;
-        conn.out += result.response;
-        if (result.shutdown) {
-          conn.close_after_flush = true;
-          server_.request_stop();
-          fatal = true;
-        }
+    ProtocolResult result;
+    while (true) {
+      const bool framed = conn.binary;
+      if (!(framed ? next_frame(conn, result) : next_line(conn, result))) {
+        break;
+      }
+      ++handled;
+      conn.out += result.response;
+      if (!framed) conn.out += '\n';
+      if (result.switch_to_binary) conn.binary = true;
+      if (result.shutdown) {
+        conn.close_after_flush = true;
+        server_.request_stop();
+        break;  // stop parsing; the drain flushes the response
       }
     }
     // The single compaction per read event.
@@ -441,6 +373,72 @@ class Server::IoLoop {
 #else
     (void)handled;
 #endif
+    return true;
+  }
+
+  /// "<what> exceeds max_request_bytes (N)", the in-band oversize error.
+  std::string over_limit(const char* what) const {
+    return std::string(what) + " exceeds max_request_bytes (" +
+           std::to_string(server_.config_.max_request_bytes) + ")";
+  }
+
+  /// Answers the next complete request line into `result`. Returns false
+  /// when none is buffered yet or the connection was rejected.
+  bool next_line(Connection& conn, ProtocolResult& result) {
+    const std::size_t limit = server_.config_.max_request_bytes;
+    while (true) {
+      const std::size_t scan_from = std::max(conn.in_pos, conn.scan_pos);
+      const std::size_t newline = conn.in.find('\n', scan_from);
+      if (newline == std::string::npos) {
+        conn.scan_pos = conn.in.size();
+        if (conn.in.size() - conn.in_pos <= limit) return false;
+        break;
+      }
+      std::string_view line(conn.in.data() + conn.in_pos,
+                            newline - conn.in_pos);
+      conn.in_pos = newline + 1;
+      conn.scan_pos = conn.in_pos;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (line.empty()) continue;
+      if (line.size() > limit) break;
+      result = handle_request(server_.sessions_, line);
+      return true;
+    }
+    reject_oversized(conn,
+                     json_error("DataError", over_limit("request")) + '\n');
+    return false;
+  }
+
+  /// Answers the next complete binary frame into `result`. Returns false
+  /// when none is buffered yet or the connection was rejected.
+  bool next_frame(Connection& conn, ProtocolResult& result) {
+    const std::size_t available = conn.in.size() - conn.in_pos;
+    if (available < wire::kHeaderBytes) return false;
+    const unsigned char* head =
+        reinterpret_cast<const unsigned char*>(conn.in.data() + conn.in_pos);
+    const std::uint8_t opcode = head[1];
+    std::uint16_t req_flags = 0;
+    std::memcpy(&req_flags, head + 2, sizeof req_flags);
+    std::uint32_t payload_size = 0;
+    std::memcpy(&payload_size, head + 4, sizeof payload_size);
+    if (head[0] != wire::kMagic ||
+        payload_size > server_.config_.max_request_bytes) {
+      // No way to resync a corrupt or oversized frame stream: answer once,
+      // then close.
+      std::string frame;
+      wire::append_error_frame(
+          frame, opcode, "DataError",
+          head[0] != wire::kMagic ? "bad frame magic" : over_limit("frame"));
+      reject_oversized(conn, frame);
+      return false;
+    }
+    if (available < wire::kHeaderBytes + payload_size) return false;
+    const std::string_view payload(
+        conn.in.data() + conn.in_pos + wire::kHeaderBytes, payload_size);
+    conn.in_pos += wire::kHeaderBytes + payload_size;
+    conn.scan_pos = conn.in_pos;
+    result = handle_binary_request(server_.sessions_, opcode, req_flags,
+                                   payload);
     return true;
   }
 
@@ -484,7 +482,7 @@ class Server::IoLoop {
 
   /// Oversized request / corrupt frame: answer in-band, count it, stop
   /// reading, close once the error has left.
-  void reject_oversized(Connection& conn, std::string response) {
+  void reject_oversized(Connection& conn, const std::string& response) {
     BMF_COUNTER_ADD("serve.oversized_requests", 1);
     conn.out += response;
     conn.close_after_flush = true;

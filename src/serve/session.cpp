@@ -19,39 +19,68 @@ using linalg::Vector;
 
 namespace {
 
-[[noreturn]] void spec_error(const std::string& detail) {
-  throw DataError("malformed estimator spec",
-                  ErrorContext{}.with_operation("serve_open").with_detail(
+/// Where a malformed JSON member arrived: the DataError message and the
+/// operation it is tagged with.
+struct Origin {
+  const char* message;
+  const char* operation;
+};
+constexpr Origin kSpec{"malformed estimator spec", "serve_open"};
+constexpr Origin kSamples{"malformed observe samples", "serve_observe"};
+
+[[noreturn]] void malformed(const Origin& origin, const std::string& detail) {
+  throw DataError(origin.message,
+                  ErrorContext{}.with_operation(origin.operation).with_detail(
                       detail));
 }
 
-}  // namespace
+[[noreturn]] void spec_error(const std::string& detail) {
+  malformed(kSpec, detail);
+}
 
-Vector parse_vector(const JsonValue& value, const std::string& what) {
-  if (!value.is_array()) spec_error(what + " must be an array of numbers");
+Vector parse_vector(const JsonValue& value, const std::string& what,
+                    const Origin& origin = kSpec) {
+  if (!value.is_array()) {
+    malformed(origin, what + " must be an array of numbers");
+  }
   std::vector<double> data;
   data.reserve(value.as_array().size());
   for (const JsonValue& cell : value.as_array()) {
-    if (!cell.is_number()) spec_error(what + " must be an array of numbers");
+    if (!cell.is_number()) {
+      malformed(origin, what + " must be an array of numbers");
+    }
     data.push_back(cell.as_number());
   }
   return Vector(std::move(data));
 }
 
-Matrix parse_matrix(const JsonValue& value, const std::string& what) {
+Matrix matrix_from_json(const JsonValue& value, const std::string& what,
+                        const Origin& origin) {
   if (!value.is_array() || value.as_array().empty()) {
-    spec_error(what + " must be a non-empty array of rows");
+    malformed(origin, what + " must be a non-empty array of rows");
   }
   const auto& rows = value.as_array();
-  const Vector first = parse_vector(rows[0], what + " row");
+  const Vector first = parse_vector(rows[0], what + " row", origin);
   Matrix out(rows.size(), first.size());
   out.set_row(0, first);
   for (std::size_t r = 1; r < rows.size(); ++r) {
-    const Vector row = parse_vector(rows[r], what + " row");
-    if (row.size() != first.size()) spec_error(what + " rows are ragged");
+    const Vector row = parse_vector(rows[r], what + " row", origin);
+    if (row.size() != first.size()) {
+      malformed(origin, what + " rows are ragged");
+    }
     out.set_row(r, row);
   }
   return out;
+}
+
+}  // namespace
+
+Matrix parse_matrix(const JsonValue& value, const std::string& what) {
+  return matrix_from_json(value, what, kSpec);
+}
+
+Matrix parse_samples(const JsonValue& value) {
+  return matrix_from_json(value, "samples", kSamples);
 }
 
 namespace {

@@ -64,12 +64,15 @@ namespace bmfusion::serve {
 [[nodiscard]] std::unique_ptr<fusion::MultiPopulationEstimator>
 make_fusion_estimator(const JsonValue& spec);
 
-/// JSON -> linalg conversions shared with the protocol layer. `what` names
-/// the member in DataError messages ("samples", "early.mean", ...).
-[[nodiscard]] linalg::Vector parse_vector(const JsonValue& value,
-                                          const std::string& what);
+/// JSON -> matrix conversion of estimator specs. `what` names the member
+/// in DataError messages ("early.covariance", "correlation", ...), which
+/// are tagged with the open operation.
 [[nodiscard]] linalg::Matrix parse_matrix(const JsonValue& value,
                                           const std::string& what);
+
+/// The "samples" member of an observe request as a matrix; the same checks
+/// as parse_matrix, with errors tagged with the observe operation.
+[[nodiscard]] linalg::Matrix parse_samples(const JsonValue& value);
 
 /// One session: a named streaming estimator plus its shard cache. A session
 /// is either single-population (one MomentEstimator; every population index

@@ -89,6 +89,15 @@ std::string observe_request(const std::string& session, const Matrix& rows) {
   return out.str();
 }
 
+double counter_value(const std::string& name) {
+  const telemetry::MetricsSnapshot snapshot =
+      telemetry::Registry::instance().snapshot();
+  for (const auto& counter : snapshot.counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0.0;
+}
+
 Matrix test_samples(std::size_t rows, std::size_t cols, double shift) {
   Matrix out(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
@@ -387,10 +396,10 @@ TEST(ServeTcp, ManyShortConnectionsReturnFdCountToBaseline) {
   server.stop();
 }
 
-std::string binary_observe_payload(const std::string& session,
-                                   const Matrix& rows) {
+/// u32 rows, u32 cols, then the row-major doubles: a kObserve payload
+/// after the session id (and the population, when flagged).
+std::string observe_body(const Matrix& rows) {
   std::string payload;
-  serve::wire::append_string(payload, session);
   serve::wire::append_u32(payload, static_cast<std::uint32_t>(rows.rows()));
   serve::wire::append_u32(payload, static_cast<std::uint32_t>(rows.cols()));
   for (std::size_t r = 0; r < rows.rows(); ++r) {
@@ -402,6 +411,29 @@ std::string binary_observe_payload(const std::string& session,
     }
   }
   return payload;
+}
+
+/// A binary payload: the u16-prefixed session id, then `rest`.
+std::string framed(const std::string& session, const std::string& rest) {
+  std::string payload;
+  serve::wire::append_string(payload, session);
+  return payload + rest;
+}
+
+std::string binary_observe_payload(const std::string& session,
+                                   const Matrix& rows) {
+  return framed(session, observe_body(rows));
+}
+
+/// The error type of a complete response frame; empty when it is ok.
+std::string frame_error(const std::string& reply) {
+  std::uint16_t flags = 0;
+  std::memcpy(&flags, reply.data() + 2, sizeof flags);
+  if ((flags & serve::wire::kFlagError) == 0) return "";
+  std::uint16_t type_size = 0;
+  std::memcpy(&type_size, reply.data() + serve::wire::kHeaderBytes,
+              sizeof type_size);
+  return reply.substr(serve::wire::kHeaderBytes + 2, type_size);
 }
 
 TEST(ServeBinary, ObserveAndStatsMatchJsonMode) {
@@ -470,6 +502,151 @@ TEST(ServeBinary, ObserveAndStatsMatchJsonMode) {
   ASSERT_TRUE(binary.request_frame(serve::wire::kPing, "", frame));
   EXPECT_TRUE(frame.ok());
   server.stop();
+
+  // Cross-mode table, transport-free: every row goes to one registry as a
+  // JSON line and to another as a frame. Both must answer the same way
+  // (ok, or the same error type), report the same totals, leave the same
+  // stream behind, and tick the same per-op request counters. A truncated
+  // frame's JSON twin is the request cut before a required member, which
+  // keeps the op known in both modes.
+  SessionRegistry source;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_request(source, "{\"op\":\"open\",\"session\":\"src\","
+                                    "\"estimator\":\"mle\"}")
+          .response)));
+  (void)source.get("src")->observe(test_samples(40, 3, -0.5));
+  const stats::StatsShard absorbed = source.get("src")->export_shard(3);
+  stats::StatsShard foreign = absorbed;
+  foreign.population_id = 2;  // out of range for a single-population session
+  const std::string shard_bytes = stats::serialize_shard(absorbed);
+  const std::string observe_bytes = binary_observe_payload("x", samples);
+  std::string population_3;
+  serve::wire::append_u32(population_3, 3);
+  std::string shard_id_7;
+  serve::wire::append_u64(shard_id_7, 7);
+  std::string zero_rows;
+  serve::wire::append_u32(zero_rows, 0);
+  serve::wire::append_u32(zero_rows, 3);
+
+  struct Row {
+    std::string json;
+    std::uint8_t opcode;
+    std::uint16_t flags;
+    std::string payload;
+    const char* error;  ///< expected error type; nullptr = ok
+  };
+  const std::string x = "\"session\":\"x\"";
+  const std::string absorb_json = "{\"op\":\"absorb\"," + x + ",\"shard\":" +
+                                  stats::shard_to_json(absorbed) + "}";
+  const std::vector<Row> table = {
+      {observe_request("x", samples), serve::wire::kObserve, 0, observe_bytes,
+       nullptr},
+      {"{\"op\":\"observe\"," + x +
+           ",\"population\":3,\"samples\":[[1,2,3]]}",
+       serve::wire::kObserve, serve::wire::kFlagPopulation,
+       framed("x", population_3 + observe_body(Matrix(1, 3, 1.0))),
+       "DataError"},
+      {"{\"op\":\"observe\"," + x + ",\"samples\":[]}", serve::wire::kObserve,
+       0, framed("x", zero_rows), "DataError"},
+      {observe_request("ghost", samples), serve::wire::kObserve, 0,
+       binary_observe_payload("ghost", samples), "DataError"},
+      {"{\"op\":\"observe\"," + x + "}", serve::wire::kObserve, 0,
+       observe_bytes.substr(0, observe_bytes.size() - 5), "DataError"},
+      {absorb_json, serve::wire::kAbsorb, 0, framed("x", shard_bytes), nullptr},
+      {absorb_json, serve::wire::kAbsorb, 0, framed("x", shard_bytes),
+       nullptr},  // duplicate
+      {"{\"op\":\"absorb\"," + x + ",\"shard\":" +
+           stats::shard_to_json(foreign) + "}",
+       serve::wire::kAbsorb, 0,
+       framed("x", stats::serialize_shard(foreign)), "DataError"},
+      {"{\"op\":\"absorb\",\"session\":\"ghost\",\"shard\":" +
+           stats::shard_to_json(absorbed) + "}",
+       serve::wire::kAbsorb, 0, framed("ghost", shard_bytes), "DataError"},
+      {"{\"op\":\"absorb\"," + x + "}", serve::wire::kAbsorb, 0,
+       framed("x", shard_bytes.substr(0, shard_bytes.size() - 4)),
+       "DataError"},
+      {"{\"op\":\"stats\"," + x + ",\"shard_id\":7}", serve::wire::kStats,
+       0, framed("x", shard_id_7), nullptr},
+      {"{\"op\":\"stats\"," + x + ",\"population\":3,\"shard_id\":7}",
+       serve::wire::kStats, serve::wire::kFlagPopulation,
+       framed("x", population_3 + shard_id_7), "DataError"},
+      {"{\"op\":\"stats\",\"session\":\"ghost\",\"shard_id\":7}",
+       serve::wire::kStats, 0, framed("ghost", shard_id_7), "DataError"},
+      {"{\"op\":\"stats\"}", serve::wire::kStats, 0,
+       framed("x", shard_id_7.substr(0, 4)), "DataError"},
+      {"{\"op\":\"ping\"}", serve::wire::kPing, 0, "", nullptr},
+  };
+
+  const char* const counted[] = {"serve.observe.requests",
+                                 "serve.absorb.requests",
+                                 "serve.stats.requests", "serve.ping.requests"};
+  const auto counters = [&counted] {
+    std::vector<double> values;
+    for (const char* name : counted) values.push_back(counter_value(name));
+    return values;
+  };
+  const std::string open_x =
+      "{\"op\":\"open\",\"session\":\"x\",\"estimator\":\"mle\"}";
+
+  SessionRegistry json_registry;
+  ASSERT_TRUE(
+      is_ok(parse_json(serve::handle_request(json_registry, open_x).response)));
+  std::vector<std::string> json_errors;
+  std::vector<double> json_totals;
+  std::vector<std::string> json_shards;
+  const std::vector<double> json_before = counters();
+  for (const Row& row : table) {
+    const JsonValue reply =
+        parse_json(serve::handle_request(json_registry, row.json).response);
+    json_errors.push_back(error_type(reply));
+    json_totals.push_back(reply.number_or("total", -1.0));
+    const JsonValue* shard = reply.find("shard");
+    json_shards.push_back(
+        shard == nullptr
+            ? ""
+            : stats::serialize_shard(stats::shard_from_json(*shard)));
+  }
+  const std::vector<double> json_after = counters();
+
+  SessionRegistry frame_registry;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_binary_request(frame_registry, serve::wire::kJson, 0,
+                                   open_x)
+          .response.substr(serve::wire::kHeaderBytes))));
+  const std::vector<double> frame_before = counters();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const Row& row = table[i];
+    const std::string reply =
+        serve::handle_binary_request(frame_registry, row.opcode, row.flags,
+                                     row.payload)
+            .response;
+    ASSERT_GE(reply.size(), serve::wire::kHeaderBytes) << row.json;
+    EXPECT_EQ(static_cast<std::uint8_t>(reply[1]), row.opcode) << row.json;
+    const std::string error = frame_error(reply);
+    const std::string payload = reply.substr(serve::wire::kHeaderBytes);
+    EXPECT_EQ(error, row.error == nullptr ? "" : row.error) << row.json;
+    EXPECT_EQ(error, json_errors[i]) << row.json;
+    if (!error.empty()) continue;
+    if (row.opcode == serve::wire::kObserve ||
+        row.opcode == serve::wire::kAbsorb) {
+      std::uint64_t total = 0;
+      std::memcpy(&total, payload.data() + payload.size() - sizeof total,
+                  sizeof total);
+      EXPECT_EQ(static_cast<double>(total), json_totals[i]) << row.json;
+    }
+    if (row.opcode == serve::wire::kStats) {
+      EXPECT_EQ(payload, json_shards[i]) << row.json;
+    }
+  }
+  const std::vector<double> frame_after = counters();
+  for (std::size_t k = 0; k < std::size(counted); ++k) {
+    EXPECT_EQ(json_after[k] - json_before[k], frame_after[k] - frame_before[k])
+        << counted[k];
+  }
+  EXPECT_EQ(stats::serialize_shard(json_registry.get("x")->export_shard(7)),
+            stats::serialize_shard(frame_registry.get("x")->export_shard(7)));
+  EXPECT_EQ(json_registry.get("x")->observed_count(),
+            frame_registry.get("x")->observed_count());
 }
 
 TEST(ServeProtocol, StatsShardIdRejectsNonIntegralAndOverflowing) {
@@ -496,6 +673,37 @@ TEST(ServeProtocol, StatsShardIdRejectsNonIntegralAndOverflowing) {
   EXPECT_TRUE(is_ok(client.round_trip(
       "{\"op\":\"stats\",\"session\":\"s\",\"shard_id\":9007199254740992}")));
   server.stop();
+}
+
+TEST(ServeProtocol, FirstPingReportsUptimeSinceProcessStart) {
+  // ctest runs this case in a fresh process, so this ping latches the
+  // process start: its uptime must be tiny, not a wrapped subtraction.
+  SessionRegistry sessions;
+  const JsonValue ping = parse_json(
+      serve::handle_request(sessions, "{\"op\":\"ping\"}").response);
+  ASSERT_TRUE(is_ok(ping));
+  const double uptime = ping.number_or("uptime_s", -1.0);
+  EXPECT_GE(uptime, 0.0);
+  EXPECT_LT(uptime, 3600.0);
+}
+
+TEST(ServeProtocol, MalformedSamplesNameTheObserveOperation) {
+  SessionRegistry sessions;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_request(sessions, "{\"op\":\"open\",\"session\":\"s\","
+                                      "\"estimator\":\"mle\"}")
+          .response)));
+  const JsonValue reply = parse_json(
+      serve::handle_request(
+          sessions,
+          "{\"op\":\"observe\",\"session\":\"s\",\"samples\":[[1,2],[3]]}")
+          .response);
+  EXPECT_EQ(error_type(reply), "DataError");
+  const std::string message =
+      reply.find("error")->string_or("message", "");
+  EXPECT_NE(message.find("op=serve_observe"), std::string::npos) << message;
+  EXPECT_NE(message.find("ragged"), std::string::npos) << message;
+  EXPECT_EQ(message.find("estimator spec"), std::string::npos) << message;
 }
 
 TEST(ServeStdio, DrivesTheSameProtocol) {
@@ -685,15 +893,6 @@ std::string admin_get(std::uint16_t port, const std::string& path) {
 std::string http_body(const std::string& response) {
   const std::size_t split = response.find("\r\n\r\n");
   return split == std::string::npos ? "" : response.substr(split + 4);
-}
-
-double counter_value(const std::string& name) {
-  const telemetry::MetricsSnapshot snapshot =
-      telemetry::Registry::instance().snapshot();
-  for (const auto& counter : snapshot.counters) {
-    if (counter.name == name) return counter.value;
-  }
-  return 0.0;
 }
 
 TEST(ServeAdmin, EndpointsAnswerOverHttp) {
@@ -912,6 +1111,43 @@ TEST(ServeObservability, StatuszAndAdminResponderWorkWithoutTransport) {
   EXPECT_NE(
       serve::handle_admin_request("PUT", "/metrics", sessions).find("405"),
       std::string::npos);
+}
+
+TEST(ServeObservability, StatuszEscapesControlBytesInSessionIds) {
+  SessionRegistry sessions;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_request(sessions,
+                            "{\"op\":\"open\",\"session\":\"a\\u0001\\rb\","
+                            "\"estimator\":\"mle\"}")
+          .response)));
+  const std::string statusz = serve::statusz_json(sessions);
+  for (const char c : statusz) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << statusz;
+  }
+  const JsonValue parsed = parse_json(statusz);
+  ASSERT_EQ(parsed.find("sessions")->as_array().size(), 1u);
+  EXPECT_EQ(parsed.find("sessions")->as_array()[0].string_or("id", ""),
+            "a\x01\rb");
+}
+
+TEST(ServeBinary, ObserveDimensionsThatOverflowAnswerDataError) {
+  // rows * cols * 8 wraps to 0 in 64 bits: the decoder must refuse the
+  // frame before it sizes anything from the product.
+  SessionRegistry sessions;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_request(sessions, "{\"op\":\"open\",\"session\":\"s\","
+                                      "\"estimator\":\"mle\"}")
+          .response)));
+  std::string payload;
+  serve::wire::append_string(payload, "s");
+  serve::wire::append_u32(payload, 1u << 30);
+  serve::wire::append_u32(payload, 1u << 31);
+  const std::string reply =
+      serve::handle_binary_request(sessions, serve::wire::kObserve, 0, payload)
+          .response;
+  ASSERT_GT(reply.size(), serve::wire::kHeaderBytes + 2);
+  EXPECT_EQ(frame_error(reply), "DataError");
+  EXPECT_EQ(sessions.get("s")->observed_count(), 0u);
 }
 
 TEST(ServeBinary, PopulationFlagRoutesObserveAndStats) {
