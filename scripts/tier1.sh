@@ -5,13 +5,14 @@
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
-# bugs like to hide) plus the multi-population fusion and serve suites, and
-# finally a ThreadSanitizer build covering the telemetry shard-merge tests
-# (per-thread shards + merge-on-read), the log sinks, the full serve suite
-# (epoll I/O threads trading connections, atomic stop flags, the stop/wait
-# handshake), the fusion suite (N per-population CV grids on the shared
-# pool), and the parallel Monte Carlo engine (per-worker StatStreams, pool
-# exception transport, a multi-thread parity smoke).
+# bugs like to hide) plus the streaming, multi-population fusion and serve
+# suites, and finally a ThreadSanitizer build covering the telemetry
+# shard-merge tests (per-thread shards + merge-on-read), the log sinks, the
+# full serve suite (epoll I/O threads trading connections, atomic stop
+# flags, the stop/wait handshake), the fusion suite (N per-population CV
+# grids on the shared pool), and the parallel Monte Carlo engine
+# (per-worker StatStreams, pool exception transport, a multi-thread parity
+# smoke).
 #
 # Usage: scripts/tier1.sh [--skip-asan] [--skip-telemetry-off] [--skip-tsan]
 set -euo pipefail
@@ -48,17 +49,21 @@ fi
 if [[ "${skip_asan}" -eq 1 ]]; then
   echo "==> tier-1: ASan+UBSan stage skipped (--skip-asan)"
 else
-  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + fusion + serve suites"
+  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + streaming + fusion + serve suites"
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
-    --target test_fault_injection test_telemetry test_log test_fusion \
-    test_serve
+    --target test_fault_injection test_telemetry test_log test_streaming \
+    test_fusion test_serve
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_telemetry
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_log
+  # Streaming estimators: shard merges, the whole-batch observe screen and
+  # the snapshot memo's copy, clear and exception paths.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_streaming
   # Multi-population fusion: the contained-failure path (a corrupted
   # population's snapshot throwing mid-fusion) and the shard routing both
   # unwind across estimator internals — prime ASan territory.

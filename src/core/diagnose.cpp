@@ -68,6 +68,8 @@ constexpr const char* kHealthCounters[] = {
     "core.cv.disqualified_points",
     "core.loglik.fallback_jitter",
     "core.loglik.fallback_ldlt",
+    "core.stream.snapshots",
+    "core.stream.snapshot_hits",
     "fusion.observed_samples",
     "fusion.absorbed_shards",
     "fusion.snapshots",

@@ -146,6 +146,7 @@ EstimateResult MomentEstimator::do_estimate_stats(
 // --- Streaming ---------------------------------------------------------------
 
 void MomentEstimator::set_nominal(const linalg::Vector& nominal) {
+  snapshot_memo_.reset();
   BMFUSION_REQUIRE(observed_ == 0,
                    "the nominal point is fixed once samples were observed; "
                    "reset_stream() first");
@@ -170,21 +171,26 @@ void MomentEstimator::ensure_streams(std::size_t dimension) {
 }
 
 void MomentEstimator::observe_row(const linalg::Vector& sample) {
-  BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
-  require_finite_sample(sample, name());
   ensure_streams(sample.size());
   streams_[observed_ % streams_.size()].add(stream_transform(sample));
   ++observed_;
 }
 
 void MomentEstimator::observe(const linalg::Vector& sample) {
+  snapshot_memo_.reset();
+  BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
+  require_finite_sample(sample, name());
   observe_row(sample);
   BMF_COUNTER_ADD("core.stream.observed_samples", 1);
 }
 
 void MomentEstimator::observe(const linalg::Matrix& samples) {
+  snapshot_memo_.reset();
   BMFUSION_REQUIRE(samples.cols() >= 1,
                    "observe needs samples with dimension >= 1");
+  // Screen the whole batch before the first row lands: a non-finite cell in
+  // row k rejects the batch whole instead of leaving rows 0..k-1 committed.
+  require_finite_inputs(samples, linalg::Vector(), name());
   for (std::size_t i = 0; i < samples.rows(); ++i) {
     observe_row(samples.row(i));
   }
@@ -194,6 +200,7 @@ void MomentEstimator::observe(const linalg::Matrix& samples) {
 }
 
 void MomentEstimator::absorb(const SufficientStats& stats) {
+  snapshot_memo_.reset();
   if (stats.count() == 0) return;
   BMFUSION_REQUIRE(stats.dimension() >= 1,
                    "absorb needs statistics with dimension >= 1");
@@ -207,6 +214,7 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
 }
 
 void MomentEstimator::absorb(const stats::StatsShard& shard) {
+  snapshot_memo_.reset();
   if (!shard.estimator.empty() && shard.estimator != name()) {
     throw DataError(
         "stats shard estimator tag does not match this estimator",
@@ -256,6 +264,7 @@ void MomentEstimator::absorb(const stats::StatsShard& shard) {
 }
 
 void MomentEstimator::merge(const MomentEstimator& other) {
+  snapshot_memo_.reset();
   BMFUSION_REQUIRE(name() == other.name(),
                    "merge needs two estimators of the same strategy");
   BMFUSION_REQUIRE(
@@ -275,6 +284,12 @@ void MomentEstimator::merge(const MomentEstimator& other) {
 EstimateResult MomentEstimator::snapshot() const {
   BMFUSION_REQUIRE(observed_ >= 1,
                    "snapshot needs at least one observed sample");
+  BMF_COUNTER_ADD("core.stream.snapshots", 1);
+  // Checked before the fold totals are built: a hit skips that fold too.
+  if (snapshot_memo_) {
+    BMF_COUNTER_ADD("core.stream.snapshot_hits", 1);
+    return *snapshot_memo_;
+  }
   const std::size_t dim = streams_.front().dimension();
   std::vector<SufficientStats> fold_totals;
   fold_totals.reserve(streams_.size());
@@ -283,8 +298,8 @@ EstimateResult MomentEstimator::snapshot() const {
                                          : stream.totals());
   }
   BMF_SPAN("estimator_snapshot");
-  BMF_COUNTER_ADD("core.stream.snapshots", 1);
-  return do_snapshot(fold_totals, nominal_);
+  snapshot_memo_ = do_snapshot(fold_totals, nominal_);
+  return *snapshot_memo_;
 }
 
 stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
@@ -299,6 +314,7 @@ stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
 }
 
 void MomentEstimator::reset_stream() {
+  snapshot_memo_.reset();
   streams_.clear();
   observed_ = 0;
   absorb_cursor_ = 0;

@@ -22,11 +22,19 @@
 //
 // Conjugacy is what makes the streaming surface cheap: a new sample is an
 // O(d^2) statistics update, and snapshot() is O(d^3) regardless of how many
-// samples the stream has absorbed.
+// samples the stream has absorbed. A snapshot of an unchanged stream is
+// cheaper still: the last answer is kept until the next mutation, so a poll
+// costs a copy rather than another hyper-parameter search.
+//
+// Threading: an estimator is not internally synchronized. snapshot() is
+// const but fills the memo (as BmfEstimator fills its transform cache), so
+// one estimator serves one thread at a time; serve::Session's mutex is what
+// provides this for served streams.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -129,7 +137,10 @@ class MomentEstimator {
 
   /// Estimate from everything observed so far. Requires >= 1 sample (some
   /// strategies need more; they throw the same errors as their batch path).
-  /// Repeatable: snapshot() does not disturb the stream.
+  /// Repeatable: snapshot() does not disturb the stream. The result is
+  /// memoized until the next observe/absorb/merge/reset_stream/set_nominal,
+  /// so repeated calls on an unchanged stream return a copy that is bitwise
+  /// identical to a cold computation; a snapshot that throws is not kept.
   [[nodiscard]] EstimateResult snapshot() const;
 
   /// Samples observed/absorbed/merged into the stream so far.
@@ -191,8 +202,9 @@ class MomentEstimator {
   virtual void on_nominal_changed() {}
 
  private:
-  /// Shared body of the two observe overloads, minus the sample counter:
-  /// the batch overload counts once per batch, not per row.
+  /// Shared body of the two observe overloads, minus the finite-input
+  /// screen and the sample counter: the batch overload screens the whole
+  /// batch up front and counts once per batch, not per row.
   void observe_row(const linalg::Vector& sample);
 
   /// Sizes the fold accumulators on first use and pins the dimension.
@@ -202,6 +214,8 @@ class MomentEstimator {
   linalg::Vector nominal_;                  ///< empty until set_nominal
   std::size_t observed_ = 0;                ///< samples streamed so far
   std::size_t absorb_cursor_ = 0;           ///< round-robin fold for absorb
+  /// Last snapshot() of the current stream; every mutator clears it first.
+  mutable std::optional<EstimateResult> snapshot_memo_;
 };
 
 /// The paper's baseline (eqs. 10-11) behind the unified interface. Ignores

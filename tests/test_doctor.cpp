@@ -135,7 +135,9 @@ TEST(Diagnose, SnapshotSectionExtractsCountersRatesAndFindings) {
           "circuit.dc.failures": 2,
           "core.cv.grid_points": 10,
           "core.cv.disqualified_points": 8,
-          "core.loglik.fallback_ldlt": 1
+          "core.loglik.fallback_ldlt": 1,
+          "core.stream.snapshots": 12,
+          "core.stream.snapshot_hits": 9
         },
         "histograms": {
           "circuit.mc.sample_us": {"count": 100, "p50": 10, "p95": 20, "p99": 30}
@@ -151,13 +153,19 @@ TEST(Diagnose, SnapshotSectionExtractsCountersRatesAndFindings) {
   EXPECT_DOUBLE_EQ(*report.cv_disqualified_ratio, 0.8);
 
   bool saw_failures_counter = false;
+  bool saw_snapshot_hits = false;
   for (const CounterReading& counter : report.health_counters) {
     if (counter.name == "circuit.dc.failures") {
       saw_failures_counter = true;
       EXPECT_DOUBLE_EQ(counter.value, 2.0);
     }
+    if (counter.name == "core.stream.snapshot_hits") {
+      saw_snapshot_hits = true;
+      EXPECT_DOUBLE_EQ(counter.value, 9.0);
+    }
   }
   EXPECT_TRUE(saw_failures_counter);
+  EXPECT_TRUE(saw_snapshot_hits);
 
   EXPECT_TRUE(any_finding_contains(report, "dc solver failed to converge"));
   EXPECT_TRUE(any_finding_contains(report, "cv disqualified"));

@@ -13,6 +13,7 @@
 #include "common/contracts.hpp"
 #include "core/bmf_estimator.hpp"
 #include "core/estimator.hpp"
+#include "estimate_bits.hpp"
 #include "fusion/correlation.hpp"
 #include "fusion/multi_population.hpp"
 #include "linalg/eigen_sym.hpp"
@@ -20,12 +21,15 @@
 #include "linalg/vector.hpp"
 #include "stats/rng.hpp"
 #include "stats/stat_wire.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
 namespace {
 
 using core::BmfEstimator;
 using core::EstimateResult;
+using core::counter_total;
+using core::expect_bitwise_equal;
 using fusion::FusionConfig;
 using fusion::FusionSnapshot;
 using fusion::MultiPopulationEstimator;
@@ -55,13 +59,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
     }
   }
   return worst;
-}
-
-void expect_bitwise_equal(const EstimateResult& a, const EstimateResult& b) {
-  EXPECT_EQ(max_abs_diff(a.moments.mean, b.moments.mean), 0.0);
-  EXPECT_EQ(max_abs_diff(a.moments.covariance, b.moments.covariance), 0.0);
-  EXPECT_EQ(a.kappa0, b.kappa0);
-  EXPECT_EQ(a.nu0, b.nu0);
 }
 
 double next_gaussian(stats::Xoshiro256pp& rng) {
@@ -255,6 +252,71 @@ TEST(MultiPopulation, AbsorbOrdersAndShardSplitsAreBitwiseStable) {
   for (std::size_t p = 0; p < n; ++p) {
     expect_bitwise_equal(merged.populations[p].fused,
                          reference.populations[p].fused);
+  }
+}
+
+// ----------------------------------------------------------- snapshot memo
+
+TEST(MultiPopulation, SnapshotAfterOneObserveReselectsOnlyThatPopulation) {
+  // 16 correlated populations, all observed; then a few rows land in one
+  // of them. The next joint snapshot re-runs that population's CV selection
+  // only (the other 15 answer from their memos) and is bitwise equal to a
+  // fresh estimator fed the same rows. A repeated snapshot re-runs none.
+  const std::size_t n = 16;
+  const std::size_t touched = 5;
+  const FusionConfig config = fast_config();
+  const std::vector<PopulationSpec> specs = shared_early_specs(n, 2);
+  Matrix correlation = Matrix::identity(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r != c) correlation(r, c) = 0.6;
+    }
+  }
+  std::vector<Matrix> samples;
+  for (std::size_t p = 0; p < n; ++p) {
+    stats::Xoshiro256pp rng(4200 + p);
+    Vector mean = specs[p].early.moments.mean;
+    mean[0] += 0.3 + 0.02 * static_cast<double>(p);
+    samples.push_back(gaussian_samples(40, mean, sigma_of(specs[p]), rng));
+  }
+  stats::Xoshiro256pp rng(4300);
+  const Matrix extra = gaussian_samples(3, specs[touched].early.moments.mean,
+                                        sigma_of(specs[touched]), rng);
+
+  MultiPopulationEstimator warm(specs, config);
+  warm.set_correlation(correlation);
+  for (std::size_t p = 0; p < n; ++p) warm.observe(p, samples[p]);
+  (void)warm.snapshot();
+  warm.observe(touched, extra);
+  const std::uint64_t selections = counter_total("core.cv.selections");
+  const FusionSnapshot after = warm.snapshot();
+  const std::uint64_t after_selections = counter_total("core.cv.selections");
+  const FusionSnapshot repeat = warm.snapshot();
+  if (telemetry::enabled()) {
+    EXPECT_EQ(after_selections - selections, 1u);
+    EXPECT_EQ(counter_total("core.cv.selections"), after_selections);
+  }
+
+  MultiPopulationEstimator cold(specs, config);
+  cold.set_correlation(correlation);
+  for (std::size_t p = 0; p < n; ++p) cold.observe(p, samples[p]);
+  cold.observe(touched, extra);
+  const FusionSnapshot reference = cold.snapshot();
+
+  EXPECT_GT(reference.signal_variance, config.signal_floor);  // borrowing
+  for (const FusionSnapshot* snapshot : {&after, &repeat}) {
+    ASSERT_EQ(snapshot->populations.size(), n);
+    EXPECT_EQ(snapshot->signal_variance, reference.signal_variance);
+    for (std::size_t p = 0; p < n; ++p) {
+      SCOPED_TRACE(p);
+      const fusion::PopulationEstimate& got = snapshot->populations[p];
+      const fusion::PopulationEstimate& want = reference.populations[p];
+      EXPECT_EQ(got.observed, want.observed);
+      expect_bitwise_equal(got.independent, want.independent);
+      expect_bitwise_equal(got.fused, want.fused);
+      EXPECT_EQ(got.borrowed_kappa, want.borrowed_kappa);
+      EXPECT_EQ(got.anchor_shift, want.anchor_shift);
+    }
   }
 }
 

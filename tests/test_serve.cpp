@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1215,6 +1216,164 @@ TEST(ServeBinary, PopulationFlagRoutesObserveAndStats) {
   EXPECT_FALSE(frame.ok());
   ASSERT_TRUE(binary.request_frame(serve::wire::kPing, "", frame));
   EXPECT_TRUE(frame.ok());
+  server.stop();
+}
+
+TEST(ServeProtocol, RejectedObserveBatchLeavesTheSessionUntouched) {
+  // A non-finite cell in the last row of a batch (JSON 1e999 overflows to
+  // inf; a raw-double frame can carry NaN) rejects the whole batch in both
+  // wire modes: the session's count and exported shard bytes stay exactly
+  // as they were, and the error names the offending row.
+  const std::string open =
+      "{\"op\":\"open\",\"session\":\"s\",\"estimator\":\"mle\"}";
+  const Matrix good = test_samples(6, 2, 0.5);
+  Matrix poisoned = test_samples(3, 2, 0.25);
+  poisoned(2, 0) = std::numeric_limits<double>::quiet_NaN();
+  const auto shard_bytes = [](SessionRegistry& sessions) {
+    return stats::serialize_shard(sessions.get("s")->export_shard(1));
+  };
+
+  SessionRegistry json_registry;
+  ASSERT_TRUE(
+      is_ok(parse_json(serve::handle_request(json_registry, open).response)));
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_request(json_registry, observe_request("s", good))
+          .response)));
+  const std::string json_before = shard_bytes(json_registry);
+  const JsonValue json_reply = parse_json(
+      serve::handle_request(json_registry,
+                            "{\"op\":\"observe\",\"session\":\"s\","
+                            "\"samples\":[[1,2],[3,4],[1e999,5]]}")
+          .response);
+  EXPECT_EQ(error_type(json_reply), "DataError");
+  EXPECT_NE(json_reply.find("error")->string_or("message", "").find("row 2"),
+            std::string::npos);
+  EXPECT_EQ(json_registry.get("s")->observed_count(), 6u);
+  EXPECT_EQ(shard_bytes(json_registry), json_before);
+
+  SessionRegistry frame_registry;
+  ASSERT_TRUE(is_ok(parse_json(
+      serve::handle_binary_request(frame_registry, serve::wire::kJson, 0,
+                                   open)
+          .response.substr(serve::wire::kHeaderBytes))));
+  ASSERT_EQ(frame_error(serve::handle_binary_request(
+                            frame_registry, serve::wire::kObserve, 0,
+                            binary_observe_payload("s", good))
+                            .response),
+            "");
+  const std::string frame_before = shard_bytes(frame_registry);
+  EXPECT_EQ(frame_before, json_before);
+  EXPECT_EQ(frame_error(serve::handle_binary_request(
+                            frame_registry, serve::wire::kObserve, 0,
+                            binary_observe_payload("s", poisoned))
+                            .response),
+            "DataError");
+  EXPECT_EQ(frame_registry.get("s")->observed_count(), 6u);
+  EXPECT_EQ(shard_bytes(frame_registry), frame_before);
+}
+
+/// Every number of a (finite) estimate object in wire order: mean,
+/// covariance, kappa0, nu0, score.
+std::vector<double> estimate_numbers(const JsonValue& estimate) {
+  std::vector<double> out;
+  for (const JsonValue& m : estimate.find("mean")->as_array()) {
+    out.push_back(m.as_number());
+  }
+  for (const JsonValue& row : estimate.find("covariance")->as_array()) {
+    for (const JsonValue& c : row.as_array()) out.push_back(c.as_number());
+  }
+  for (const char* key : {"kappa0", "nu0", "score"}) {
+    out.push_back(estimate.find(key)->as_number());
+  }
+  return out;
+}
+
+TEST(ServeTcp, ConcurrentObserveAndEstimateOnSharedSessions) {
+  // Four connections interleave observes and estimates on one bmf session
+  // and one fusion session. snapshot() is const but writes the estimator's
+  // memo, so each stream relies on the Session mutex for one-thread-at-a-
+  // time access; the TSan stage runs this test. Afterwards a repeated
+  // estimate (a memo hit) equals a cold estimate of a session rebuilt from
+  // the exported shard.
+  Server server;
+  server.start();
+  const std::uint16_t port = server.port();
+  const std::string bmf_spec =
+      "\"estimator\":\"bmf\",\"config\":{\"shift_scale\":false,"
+      "\"kappa_points\":4,\"nu_points\":4},\"early\":{\"mean\":[0.0,0.5],"
+      "\"covariance\":[[1.0,0.0],[0.0,1.0]],\"nominal\":[0.0,0.5]}}";
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 12;
+  constexpr std::size_t kRows = 4;
+  {
+    TestClient setup(port);
+    ASSERT_TRUE(setup.connected());
+    ASSERT_TRUE(is_ok(setup.round_trip(
+        "{\"op\":\"open\",\"session\":\"b\"," + bmf_spec)));
+    ASSERT_TRUE(is_ok(setup.round_trip(fusion_open_request("f", kThreads))));
+  }
+
+  std::vector<std::thread> workers;
+  std::vector<int> failures(kThreads, 0);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    workers.emplace_back([port, i, &failures] {
+      TestClient client(port);
+      if (!client.connected()) {
+        failures[i] = 1;
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        const Matrix rows = test_samples(
+            kRows, 2, 0.1 * static_cast<double>(i) + 0.01 * round);
+        if (!is_ok(client.round_trip(observe_request("b", rows))) ||
+            !is_ok(client.round_trip(
+                "{\"op\":\"estimate\",\"session\":\"b\"}")) ||
+            !is_ok(client.round_trip(fusion_observe_request("f", i, rows))) ||
+            !is_ok(client.round_trip(
+                "{\"op\":\"estimate\",\"session\":\"f\"}"))) {
+          failures[i] = 2 + round;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(failures, std::vector<int>(kThreads, 0));
+
+  const double total = static_cast<double>(kThreads * kRounds * kRows);
+  TestClient client(port);
+  ASSERT_TRUE(client.connected());
+  const JsonValue first =
+      client.round_trip("{\"op\":\"estimate\",\"session\":\"b\"}");
+  const JsonValue repeat =
+      client.round_trip("{\"op\":\"estimate\",\"session\":\"b\"}");
+  ASSERT_TRUE(is_ok(first));
+  ASSERT_TRUE(is_ok(repeat));
+  EXPECT_EQ(first.number_or("count", 0.0), total);
+  const std::vector<double> served =
+      estimate_numbers(*first.find("estimate"));
+  EXPECT_EQ(served, estimate_numbers(*repeat.find("estimate")));
+
+  const JsonValue stats =
+      client.round_trip("{\"op\":\"stats\",\"session\":\"b\",\"shard_id\":1}");
+  ASSERT_TRUE(is_ok(stats));
+  ASSERT_TRUE(is_ok(client.round_trip(
+      "{\"op\":\"open\",\"session\":\"rebuilt\"," + bmf_spec)));
+  ASSERT_TRUE(is_ok(client.round_trip(
+      "{\"op\":\"absorb\",\"session\":\"rebuilt\",\"shard\":" +
+      stats::shard_to_json(stats::shard_from_json(*stats.find("shard"))) +
+      "}")));
+  const JsonValue cold =
+      client.round_trip("{\"op\":\"estimate\",\"session\":\"rebuilt\"}");
+  ASSERT_TRUE(is_ok(cold));
+  EXPECT_EQ(served, estimate_numbers(*cold.find("estimate")));
+
+  const JsonValue fused =
+      client.round_trip("{\"op\":\"estimate\",\"session\":\"f\"}");
+  ASSERT_TRUE(is_ok(fused));
+  EXPECT_EQ(fused.number_or("count", 0.0), total);
+  EXPECT_EQ(fused.number_or("observed_populations", 0.0),
+            static_cast<double>(kThreads));
   server.stop();
 }
 

@@ -1,12 +1,16 @@
 // Streaming estimation contracts: the StatStream reduction grid, the
-// sharded wire format (binary + JSON, incl. corrupt-frame rejection), and
+// sharded wire format (binary + JSON, incl. corrupt-frame rejection),
 // streaming-vs-batch parity of the MomentEstimator surface on the paper's
-// fig. 4 op-amp experiment.
+// fig. 4 op-amp experiment, and the snapshot memo (hits bitwise equal to a
+// cold computation, every mutator invalidates, failures are not kept).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,9 +21,11 @@
 #include "core/estimator.hpp"
 #include "core/mle.hpp"
 #include "core/univariate_bmf.hpp"
+#include "estimate_bits.hpp"
 #include "stats/stat_stream.hpp"
 #include "stats/stat_wire.hpp"
 #include "stats/sufficient_stats.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
 namespace {
@@ -32,6 +38,8 @@ using circuit::TwoStageOpAmp;
 using core::BmfEstimator;
 using core::EarlyStageKnowledge;
 using core::EstimateResult;
+using core::counter_total;
+using core::expect_bitwise_equal;
 using core::MleEstimator;
 using core::estimate_mle;
 using linalg::Matrix;
@@ -582,6 +590,196 @@ TEST(StreamingApi, ObserveScreensNonFiniteSamples) {
   Vector bad{1.0, std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW(mle.observe(bad), DataError);
   EXPECT_EQ(mle.observed_count(), 0u);
+}
+
+TEST(StreamingApi, RejectedBatchCommitsNoRow) {
+  // A non-finite cell in row 2 rejects the whole batch: rows 0 and 1 must
+  // not reach the stream, and the error names the offending row.
+  MleEstimator mle;
+  mle.observe(synthetic_samples(8, 2, 5));
+  const std::string before = stats::serialize_shard(mle.export_shard(1));
+  const std::uint64_t observed = counter_total("core.stream.observed_samples");
+  const Matrix batch{{1.0, 2.0},
+                     {3.0, 4.0},
+                     {std::numeric_limits<double>::infinity(), 5.0}};
+  try {
+    mle.observe(batch);
+    FAIL() << "a batch with a non-finite cell must throw";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("row 2"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.context().index, std::optional<std::size_t>(2));
+  }
+  EXPECT_EQ(mle.observed_count(), 8u);
+  EXPECT_EQ(stats::serialize_shard(mle.export_shard(1)), before);
+  EXPECT_EQ(counter_total("core.stream.observed_samples"), observed);
+}
+
+// --------------------------------------------------------- snapshot memo
+
+/// A repeated snapshot of an unchanged stream is answered from the memo:
+/// bitwise equal to the first (cold) answer and to a cold snapshot of a
+/// fresh estimator fed the same rows, and no further selection runs.
+void expect_memo_hits_match_cold(
+    const std::function<std::unique_ptr<core::MomentEstimator>()>& make,
+    const Matrix& rows, std::uint64_t selections_per_snapshot) {
+  const std::unique_ptr<core::MomentEstimator> warm = make();
+  warm->observe(rows);
+  const std::uint64_t selections = counter_total("core.cv.selections");
+  const std::uint64_t calls = counter_total("core.stream.snapshots");
+  const std::uint64_t hits = counter_total("core.stream.snapshot_hits");
+  const EstimateResult first = warm->snapshot();
+  std::vector<EstimateResult> repeats;
+  for (int i = 0; i < 4; ++i) repeats.push_back(warm->snapshot());
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.cv.selections") - selections,
+              selections_per_snapshot)
+        << warm->name();
+    EXPECT_EQ(counter_total("core.stream.snapshots") - calls, 5u);
+    EXPECT_EQ(counter_total("core.stream.snapshot_hits") - hits, 4u);
+  }
+
+  const std::unique_ptr<core::MomentEstimator> cold = make();
+  cold->observe(rows);
+  const EstimateResult reference = cold->snapshot();
+  SCOPED_TRACE(std::string(warm->name()));
+  expect_bitwise_equal(first, reference);
+  for (const EstimateResult& repeat : repeats) {
+    expect_bitwise_equal(repeat, reference);
+  }
+}
+
+TEST_F(StreamingParity, MemoHitsAreBitwiseEqualToColdSnapshots) {
+  const core::ShiftScale transform = make_bmf().late_transform(*late_nominal_);
+  const Matrix scaled = transform.apply(late_->samples());
+  const core::GaussianMoments early_scaled = estimate_mle(
+      make_bmf().late_transform(*early_nominal_).apply(early_->samples()));
+
+  expect_memo_hits_match_cold(
+      [] {
+        auto bmf = std::make_unique<BmfEstimator>(make_bmf());
+        bmf->set_nominal(*late_nominal_);
+        return bmf;
+      },
+      late_->samples(), 1);
+  expect_memo_hits_match_cold([] { return std::make_unique<MleEstimator>(); },
+                              scaled, 0);
+  // The univariate baseline runs one 1-D selection per metric.
+  expect_memo_hits_match_cold(
+      [&early_scaled] {
+        return std::make_unique<core::UnivariateBmfEstimator>(early_scaled);
+      },
+      scaled, scaled.cols());
+}
+
+TEST_F(StreamingParity, EveryMutatorInvalidatesTheMemo) {
+  // One stream walks through every mutator with a snapshot after each
+  // step. Each snapshot must run a fresh selection (the memo was cleared,
+  // even by steps that leave the stream as it was) and equal, bit for bit,
+  // a cold snapshot of a fresh estimator replaying the same steps.
+  const Matrix& rows = late_->samples();
+  const auto slice = [&rows](std::size_t begin, std::size_t end) {
+    Matrix part(end - begin, rows.cols());
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < rows.cols(); ++c) {
+        part(r - begin, c) = rows(r, c);
+      }
+    }
+    return part;
+  };
+  const auto fresh = [] {
+    BmfEstimator bmf = make_bmf();
+    bmf.set_nominal(*late_nominal_);
+    return bmf;
+  };
+  BmfEstimator donor = fresh();
+  donor.observe(slice(150, 180));
+  const StatsShard shard = donor.export_shard(5);
+  const StatsShard empty_shard = make_bmf().export_shard(6);
+  ASSERT_EQ(empty_shard.count(), 0u);
+  BmfEstimator site = fresh();
+  site.observe(slice(190, 200));
+  Matrix poisoned = slice(60, 64);
+  poisoned(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t dim = rows.cols();
+
+  struct Step {
+    const char* name;
+    std::function<void(BmfEstimator&)> apply;
+  };
+  const std::vector<Step> steps = {
+      {"observe batch", [&](BmfEstimator& e) { e.observe(slice(0, 64)); }},
+      {"observe row", [&](BmfEstimator& e) { e.observe(rows.row(64)); }},
+      {"rejected batch",
+       [&](BmfEstimator& e) { EXPECT_THROW(e.observe(poisoned), DataError); }},
+      {"absorb zero-count stats",
+       [&](BmfEstimator& e) { e.absorb(SufficientStats(dim)); }},
+      {"absorb zero-count shard",
+       [&](BmfEstimator& e) { e.absorb(empty_shard); }},
+      {"absorb shard", [&](BmfEstimator& e) { e.absorb(shard); }},
+      {"absorb stats",
+       [&](BmfEstimator& e) {
+         e.absorb(SufficientStats::from_samples(slice(180, 190)));
+       }},
+      {"merge", [&](BmfEstimator& e) { e.merge(site); }},
+      {"reset, set_nominal, observe",
+       [&](BmfEstimator& e) {
+         e.reset_stream();
+         EXPECT_THROW((void)e.snapshot(), ContractError);
+         e.set_nominal(*late_nominal_);
+         e.observe(slice(100, 140));
+       }},
+  };
+
+  BmfEstimator memo = fresh();
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    SCOPED_TRACE(steps[k].name);
+    steps[k].apply(memo);
+    const std::uint64_t selections = counter_total("core.cv.selections");
+    const EstimateResult got = memo.snapshot();
+    if (telemetry::enabled()) {
+      EXPECT_EQ(counter_total("core.cv.selections") - selections, 1u);
+    }
+    BmfEstimator replay = fresh();
+    for (std::size_t j = 0; j <= k; ++j) steps[j].apply(replay);
+    EXPECT_EQ(replay.observed_count(), memo.observed_count());
+    expect_bitwise_equal(got, replay.snapshot());
+  }
+}
+
+TEST(SnapshotMemo, ThrowingSnapshotThrowsAgain) {
+  // Values whose outer products overflow to +inf make the snapshot throw a
+  // typed numeric error. A failure is never memoized: the next call runs
+  // again and throws again, and a later healthy stream memoizes as usual.
+  EarlyStageKnowledge early;
+  early.moments.mean = Vector{0.0, 0.1};
+  early.moments.covariance = Matrix::identity(2);
+  early.nominal = early.moments.mean;
+  core::BmfConfig config;
+  config.apply_shift_scale = false;
+  config.cv.kappa_points = 4;
+  config.cv.nu_points = 4;
+  BmfEstimator bmf(early, config);
+  bmf.observe(synthetic_samples(64, 2, 71));
+  Matrix huge(8, 2);
+  for (std::size_t r = 0; r < huge.rows(); ++r) {
+    huge(r, 0) = 1e160;
+    huge(r, 1) = -1e160;
+  }
+  bmf.observe(huge);
+
+  const std::uint64_t hits = counter_total("core.stream.snapshot_hits");
+  EXPECT_THROW((void)bmf.snapshot(), NumericError);
+  EXPECT_THROW((void)bmf.snapshot(), NumericError);
+  EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits);
+
+  bmf.reset_stream();
+  bmf.observe(synthetic_samples(64, 2, 71));
+  const EstimateResult first = bmf.snapshot();
+  expect_bitwise_equal(bmf.snapshot(), first);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits + 1);
+  }
 }
 
 }  // namespace
