@@ -1,6 +1,7 @@
 #include "core/estimator.hpp"
 
 #include <cmath>
+#include <new>
 #include <sstream>
 
 #include "common/contracts.hpp"
@@ -146,7 +147,7 @@ EstimateResult MomentEstimator::do_estimate_stats(
 // --- Streaming ---------------------------------------------------------------
 
 void MomentEstimator::set_nominal(const linalg::Vector& nominal) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   BMFUSION_REQUIRE(observed_ == 0,
                    "the nominal point is fixed once samples were observed; "
                    "reset_stream() first");
@@ -177,7 +178,7 @@ void MomentEstimator::observe_row(const linalg::Vector& sample) {
 }
 
 void MomentEstimator::observe(const linalg::Vector& sample) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
   require_finite_sample(sample, name());
   observe_row(sample);
@@ -185,7 +186,7 @@ void MomentEstimator::observe(const linalg::Vector& sample) {
 }
 
 void MomentEstimator::observe(const linalg::Matrix& samples) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   BMFUSION_REQUIRE(samples.cols() >= 1,
                    "observe needs samples with dimension >= 1");
   // Screen the whole batch before the first row lands: a non-finite cell in
@@ -200,7 +201,7 @@ void MomentEstimator::observe(const linalg::Matrix& samples) {
 }
 
 void MomentEstimator::absorb(const SufficientStats& stats) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   if (stats.count() == 0) return;
   BMFUSION_REQUIRE(stats.dimension() >= 1,
                    "absorb needs statistics with dimension >= 1");
@@ -214,7 +215,7 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
 }
 
 void MomentEstimator::absorb(const stats::StatsShard& shard) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   if (!shard.estimator.empty() && shard.estimator != name()) {
     throw DataError(
         "stats shard estimator tag does not match this estimator",
@@ -264,7 +265,7 @@ void MomentEstimator::absorb(const stats::StatsShard& shard) {
 }
 
 void MomentEstimator::merge(const MomentEstimator& other) {
-  snapshot_memo_.reset();
+  forget_snapshot();
   BMFUSION_REQUIRE(name() == other.name(),
                    "merge needs two estimators of the same strategy");
   BMFUSION_REQUIRE(
@@ -286,8 +287,9 @@ EstimateResult MomentEstimator::snapshot() const {
                    "snapshot needs at least one observed sample");
   BMF_COUNTER_ADD("core.stream.snapshots", 1);
   // Checked before the fold totals are built: a hit skips that fold too.
-  if (snapshot_memo_) {
+  if (snapshot_memo_ || snapshot_error_) {
     BMF_COUNTER_ADD("core.stream.snapshot_hits", 1);
+    if (snapshot_error_) std::rethrow_exception(snapshot_error_);
     return *snapshot_memo_;
   }
   const std::size_t dim = streams_.front().dimension();
@@ -298,8 +300,22 @@ EstimateResult MomentEstimator::snapshot() const {
                                          : stream.totals());
   }
   BMF_SPAN("estimator_snapshot");
-  snapshot_memo_ = do_snapshot(fold_totals, nominal_);
+  try {
+    snapshot_memo_ = do_snapshot(fold_totals, nominal_);
+  } catch (const std::bad_alloc&) {
+    throw;
+  } catch (...) {
+    // The outcome is a function of the stream state, so an unchanged
+    // stream would fail the same way: keep the error like an answer.
+    snapshot_error_ = std::current_exception();
+    throw;
+  }
   return *snapshot_memo_;
+}
+
+void MomentEstimator::forget_snapshot() {
+  snapshot_memo_.reset();
+  snapshot_error_ = nullptr;
 }
 
 stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
@@ -314,7 +330,7 @@ stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
 }
 
 void MomentEstimator::reset_stream() {
-  snapshot_memo_.reset();
+  forget_snapshot();
   streams_.clear();
   observed_ = 0;
   absorb_cursor_ = 0;

@@ -23,8 +23,8 @@
 // Conjugacy is what makes the streaming surface cheap: a new sample is an
 // O(d^2) statistics update, and snapshot() is O(d^3) regardless of how many
 // samples the stream has absorbed. A snapshot of an unchanged stream is
-// cheaper still: the last answer is kept until the next mutation, so a poll
-// costs a copy rather than another hyper-parameter search.
+// cheaper still: the last answer (or error) is kept until the next mutation,
+// so a poll costs a copy rather than another hyper-parameter search.
 //
 // Threading: an estimator is not internally synchronized. snapshot() is
 // const but fills the memo (as BmfEstimator fills its transform cache), so
@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -137,10 +138,11 @@ class MomentEstimator {
 
   /// Estimate from everything observed so far. Requires >= 1 sample (some
   /// strategies need more; they throw the same errors as their batch path).
-  /// Repeatable: snapshot() does not disturb the stream. The result is
+  /// Repeatable: snapshot() does not disturb the stream. The outcome is
   /// memoized until the next observe/absorb/merge/reset_stream/set_nominal,
   /// so repeated calls on an unchanged stream return a copy that is bitwise
-  /// identical to a cold computation; a snapshot that throws is not kept.
+  /// identical to a cold computation, or rethrow the error the computation
+  /// threw (std::bad_alloc excepted: it says nothing about the stream).
   [[nodiscard]] EstimateResult snapshot() const;
 
   /// Samples observed/absorbed/merged into the stream so far.
@@ -214,8 +216,13 @@ class MomentEstimator {
   linalg::Vector nominal_;                  ///< empty until set_nominal
   std::size_t observed_ = 0;                ///< samples streamed so far
   std::size_t absorb_cursor_ = 0;           ///< round-robin fold for absorb
-  /// Last snapshot() of the current stream; every mutator clears it first.
+  /// Drops the memoized snapshot outcome; every mutator calls it first.
+  void forget_snapshot();
+
+  /// Last snapshot() of the current stream: its answer or, if it threw,
+  /// its error. At most one is set.
   mutable std::optional<EstimateResult> snapshot_memo_;
+  mutable std::exception_ptr snapshot_error_;
 };
 
 /// The paper's baseline (eqs. 10-11) behind the unified interface. Ignores

@@ -183,18 +183,6 @@ NormalWishart::StudentT NormalWishart::posterior_predictive() const {
   return t;
 }
 
-NormalWishart::StudentT NormalWishart::marginal_mean() const {
-  const auto d = static_cast<double>(dimension());
-  BMFUSION_REQUIRE(nu0_ > d - 1.0 + 1e-12, "marginal needs nu0 > d - 1");
-  StudentT t;
-  t.dof = nu0_ - d + 1.0;
-  t.location = mu0_;
-  const Matrix t0_inv = Cholesky(t0_).inverse();
-  t.scale = t0_inv * (1.0 / (kappa0_ * t.dof));
-  t.scale.symmetrize();
-  return t;
-}
-
 GaussianMoments map_fuse(const GaussianMoments& early,
                          const SufficientStats& stats, double kappa0,
                          double nu0) {

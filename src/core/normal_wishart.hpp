@@ -99,11 +99,6 @@ class NormalWishart {
   };
   [[nodiscard]] StudentT posterior_predictive() const;
 
-  /// Marginal distribution of the *mean parameter* mu under this
-  /// distribution: mu ~ t_{nu0-d+1}(mu0, T0^-1 / (kappa0 (nu0-d+1))).
-  /// On a posterior this yields credible regions for the estimated mean.
-  [[nodiscard]] StudentT marginal_mean() const;
-
   /// Log-density of a multivariate Student-t at x.
   [[nodiscard]] static double student_t_log_pdf(const StudentT& t,
                                                 const linalg::Vector& x);

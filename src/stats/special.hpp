@@ -24,17 +24,4 @@ namespace bmfusion::stats {
 /// log(exp(a) + exp(b)) without overflow.
 [[nodiscard]] double log_sum_exp(double a, double b);
 
-/// log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b); a, b > 0.
-[[nodiscard]] double log_beta(double a, double b);
-
-/// Regularized incomplete beta function I_x(a, b) for a, b > 0 and
-/// x in [0, 1] (Lentz continued fraction; ~1e-14 accuracy). This is the CDF
-/// of the Beta(a, b) distribution.
-[[nodiscard]] double regularized_incomplete_beta(double a, double b,
-                                                 double x);
-
-/// Quantile of the Beta(a, b) distribution (inverse of I_x) for
-/// p in (0, 1), via bisection refined with Newton steps.
-[[nodiscard]] double beta_quantile(double a, double b, double p);
-
 }  // namespace bmfusion::stats

@@ -1,4 +1,4 @@
-// Tests for Cholesky, LDLT, LU, QR, the Jacobi eigensolver, SPD utilities
+// Tests for Cholesky, LDLT, LU, the Jacobi eigensolver, SPD utilities
 // and the complex LU used by AC analysis.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "linalg/eigen_sym.hpp"
 #include "linalg/ldlt.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/spd.hpp"
 #include "stats/rng.hpp"
 #include "stats/univariate.hpp"
@@ -213,59 +212,6 @@ TEST(Lu, BadlyScaledSystemStillSolves) {
 
 TEST(Lu, ConditionEstimatePositiveForRegularMatrix) {
   EXPECT_GT(Lu(random_square(4, 19)).reciprocal_condition_estimate(), 0.0);
-}
-
-// ---------------------------------------------------------------------- QR
-
-TEST(Qr, ThinFactorizationReconstructs) {
-  stats::Xoshiro256pp rng(20);
-  Matrix a(6, 3);
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = rng.next_uniform(-1, 1);
-  }
-  const Qr qr(a);
-  EXPECT_TRUE(approx_equal(qr.q() * qr.r(), a, 1e-10));
-}
-
-TEST(Qr, QHasOrthonormalColumns) {
-  stats::Xoshiro256pp rng(21);
-  Matrix a(8, 4);
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.next_uniform(-1, 1);
-  }
-  const Matrix q = Qr(a).q();
-  EXPECT_TRUE(approx_equal(q.transposed() * q, Matrix::identity(4), 1e-10));
-}
-
-TEST(Qr, LeastSquaresRecoversExactSolution) {
-  // Consistent system: b in range(A).
-  const Matrix a{{1.0, 0.0}, {0.0, 2.0}, {1.0, 1.0}};
-  const Vector x_true{2.0, -1.0};
-  const Vector b = a * x_true;
-  EXPECT_TRUE(approx_equal(least_squares(a, b), x_true, 1e-10));
-}
-
-TEST(Qr, LeastSquaresMinimizesResidual) {
-  // Overdetermined line fit: y = 2 + 3t with one outlier-free noise-free
-  // extra point -> exact recovery.
-  Matrix a(4, 2);
-  Vector b(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const double t = static_cast<double>(i);
-    a(i, 0) = 1.0;
-    a(i, 1) = t;
-    b[i] = 2.0 + 3.0 * t;
-  }
-  const Vector beta = least_squares(a, b);
-  EXPECT_NEAR(beta[0], 2.0, 1e-10);
-  EXPECT_NEAR(beta[1], 3.0, 1e-10);
-}
-
-TEST(Qr, WideMatrixRejected) { EXPECT_THROW(Qr{Matrix(2, 3)}, ContractError); }
-
-TEST(Qr, DependentColumnsRejected) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}};
-  EXPECT_THROW(Qr{a}, NumericError);
 }
 
 // ------------------------------------------------------------- eigensolver

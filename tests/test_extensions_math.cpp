@@ -1,222 +1,18 @@
-// Tests for the extension math: SVD, beta special functions, multivariate
-// Student-t sampling, KS test, higher-order moments and Cornish-Fisher.
+// Tests for the extension math: higher-order moments and Cornish-Fisher.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/contracts.hpp"
 #include "core/higher_moments.hpp"
-#include "linalg/eigen_sym.hpp"
-#include "linalg/svd.hpp"
-#include "stats/moments.hpp"
-#include "stats/mvn.hpp"
 #include "stats/rng.hpp"
 #include "stats/special.hpp"
-#include "stats/student_t.hpp"
 #include "stats/univariate.hpp"
 
 namespace bmfusion {
 namespace {
 
 using linalg::Matrix;
-using linalg::Svd;
-using linalg::Vector;
-
-Matrix random_matrix(std::size_t m, std::size_t n, std::uint64_t seed) {
-  stats::Xoshiro256pp rng(seed);
-  Matrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.next_uniform(-2, 2);
-  }
-  return a;
-}
-
-// --------------------------------------------------------------------- svd
-
-TEST(Svd, ReconstructsMatrix) {
-  const Matrix a = random_matrix(7, 4, 1);
-  const Svd svd(a);
-  const Matrix recon =
-      svd.u() * Matrix::diagonal_matrix(svd.singular_values()) *
-      svd.v().transposed();
-  EXPECT_TRUE(approx_equal(recon, a, 1e-10));
-}
-
-TEST(Svd, FactorsAreOrthonormal) {
-  const Svd svd(random_matrix(8, 5, 2));
-  EXPECT_TRUE(approx_equal(svd.u().transposed() * svd.u(),
-                           Matrix::identity(5), 1e-10));
-  EXPECT_TRUE(approx_equal(svd.v().transposed() * svd.v(),
-                           Matrix::identity(5), 1e-10));
-}
-
-TEST(Svd, SingularValuesSortedAndNonNegative) {
-  const Svd svd(random_matrix(6, 6, 3));
-  const Vector& s = svd.singular_values();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_GE(s[i], 0.0);
-    if (i > 0) EXPECT_LE(s[i], s[i - 1]);
-  }
-}
-
-TEST(Svd, DiagonalMatrixSingularValuesKnown) {
-  const Svd svd(Matrix::diagonal_matrix(Vector{3.0, -1.0, 2.0}));
-  EXPECT_NEAR(svd.singular_values()[0], 3.0, 1e-12);
-  EXPECT_NEAR(svd.singular_values()[1], 2.0, 1e-12);
-  EXPECT_NEAR(svd.singular_values()[2], 1.0, 1e-12);
-}
-
-TEST(Svd, RankDetectsDeficiency) {
-  // Rank-1 outer product embedded in a 5x3 matrix.
-  const Vector u{1.0, 2.0, 3.0, 4.0, 5.0};
-  const Vector v{1.0, -1.0, 0.5};
-  const Svd svd(outer(u, v));
-  EXPECT_EQ(svd.rank(), 1u);
-  EXPECT_TRUE(std::isinf(svd.condition_number()));
-}
-
-TEST(Svd, MatchesEigenvaluesOfGramMatrix) {
-  const Matrix a = random_matrix(6, 3, 4);
-  const Svd svd(a);
-  const linalg::JacobiEigenSolver eig(a.transposed() * a);
-  // Squared singular values == eigenvalues of A^T A (descending/ascending).
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(svd.singular_values()[i] * svd.singular_values()[i],
-                eig.eigenvalues()[2 - i], 1e-8);
-  }
-}
-
-TEST(Svd, PseudoInverseSolvesRankDeficientSystem) {
-  // A = rank-1; least-squares solution via pseudo-inverse is finite and
-  // minimizes the residual within the row space.
-  const Vector u{1.0, 1.0, 1.0};
-  const Vector v{2.0, 0.0};
-  const Matrix a = outer(u, v);  // 3x2, rank 1
-  const Vector b{2.0, 2.0, 2.0};
-  const Svd svd(a);
-  const Vector x = svd.solve_least_squares(b);
-  EXPECT_NEAR(x[0], 1.0, 1e-10);  // minimum-norm: x = (1, 0)
-  EXPECT_NEAR(x[1], 0.0, 1e-10);
-}
-
-TEST(Svd, RejectsWideOrEmpty) {
-  EXPECT_THROW(Svd{Matrix(2, 3)}, ContractError);
-  EXPECT_THROW(Svd{Matrix()}, ContractError);
-}
-
-// ------------------------------------------------------ beta special funcs
-
-TEST(BetaFunctions, LogBetaMatchesGammaIdentity) {
-  EXPECT_NEAR(stats::log_beta(2.0, 3.0), std::log(1.0 / 12.0), 1e-12);
-  EXPECT_NEAR(stats::log_beta(0.5, 0.5), std::log(3.14159265358979), 1e-10);
-}
-
-TEST(BetaFunctions, IncompleteBetaEndpointsAndSymmetry) {
-  EXPECT_EQ(stats::regularized_incomplete_beta(2.0, 3.0, 0.0), 0.0);
-  EXPECT_EQ(stats::regularized_incomplete_beta(2.0, 3.0, 1.0), 1.0);
-  // I_x(a,b) = 1 - I_{1-x}(b,a).
-  const double x = 0.37;
-  EXPECT_NEAR(stats::regularized_incomplete_beta(2.5, 4.0, x),
-              1.0 - stats::regularized_incomplete_beta(4.0, 2.5, 1.0 - x),
-              1e-13);
-}
-
-TEST(BetaFunctions, UniformSpecialCase) {
-  // Beta(1,1) is uniform: CDF(x) = x.
-  for (const double x : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(stats::regularized_incomplete_beta(1.0, 1.0, x), x, 1e-13);
-  }
-}
-
-TEST(BetaFunctions, KnownValueBeta22) {
-  // Beta(2,2): CDF(x) = 3x^2 - 2x^3.
-  const double x = 0.3;
-  EXPECT_NEAR(stats::regularized_incomplete_beta(2.0, 2.0, x),
-              3 * x * x - 2 * x * x * x, 1e-13);
-}
-
-TEST(BetaFunctions, QuantileInvertsCdf) {
-  for (const double p : {0.01, 0.2, 0.5, 0.8, 0.99}) {
-    const double x = stats::beta_quantile(3.0, 5.0, p);
-    EXPECT_NEAR(stats::regularized_incomplete_beta(3.0, 5.0, x), p, 1e-10);
-  }
-}
-
-TEST(BetaFunctions, DomainChecks) {
-  EXPECT_THROW((void)stats::log_beta(0.0, 1.0), ContractError);
-  EXPECT_THROW((void)stats::regularized_incomplete_beta(1.0, 1.0, 1.5),
-               ContractError);
-  EXPECT_THROW((void)stats::beta_quantile(1.0, 1.0, 0.0), ContractError);
-}
-
-// --------------------------------------------------------------- student-t
-
-TEST(StudentT, LogPdfMatchesGaussianForLargeDof) {
-  const stats::MultivariateStudentT t(1e7, Vector{0.5, -0.5},
-                                      Matrix::identity(2));
-  const stats::MultivariateNormal g(Vector{0.5, -0.5}, Matrix::identity(2));
-  const Vector x{1.0, 0.0};
-  EXPECT_NEAR(t.log_pdf(x), g.log_pdf(x), 1e-5);
-}
-
-TEST(StudentT, SampleMomentsMatchTheory) {
-  const double dof = 7.0;
-  const Matrix scale{{1.0, 0.3}, {0.3, 0.5}};
-  const stats::MultivariateStudentT t(dof, Vector{1.0, 2.0}, scale);
-  stats::Xoshiro256pp rng(5);
-  Matrix samples(60000, 2);
-  for (std::size_t i = 0; i < samples.rows(); ++i) {
-    samples.set_row(i, t.sample(rng));
-  }
-  EXPECT_TRUE(approx_equal(stats::sample_mean(samples), Vector{1.0, 2.0},
-                           0.03));
-  // Covariance = scale * dof/(dof-2).
-  EXPECT_TRUE(approx_equal(stats::sample_covariance_mle(samples),
-                           t.covariance(), 0.1));
-}
-
-TEST(StudentT, HeavierTailsThanGaussian) {
-  const stats::MultivariateStudentT t(3.0, Vector(1), Matrix::identity(1));
-  const stats::MultivariateNormal g(Vector(1), Matrix::identity(1));
-  EXPECT_GT(t.log_pdf(Vector{6.0}), g.log_pdf(Vector{6.0}));
-}
-
-TEST(StudentT, DomainChecks) {
-  EXPECT_THROW(
-      stats::MultivariateStudentT(0.0, Vector(2), Matrix::identity(2)),
-      ContractError);
-  const stats::MultivariateStudentT t(2.0, Vector(2), Matrix::identity(2));
-  EXPECT_THROW((void)t.covariance(), ContractError);  // needs dof > 2
-}
-
-// ---------------------------------------------------------------------- ks
-
-TEST(KsTest, IdenticalSamplesHaveZeroStatistic) {
-  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(stats::ks_statistic(a, a), 0.0);
-}
-
-TEST(KsTest, DisjointSamplesHaveStatisticOne) {
-  EXPECT_NEAR(stats::ks_statistic({1.0, 2.0}, {10.0, 11.0}), 1.0, 1e-12);
-}
-
-TEST(KsTest, SameDistributionGivesLargePValue) {
-  stats::Xoshiro256pp rng(6);
-  std::vector<double> a(400), b(400);
-  for (double& v : a) v = stats::sample_standard_normal(rng);
-  for (double& v : b) v = stats::sample_standard_normal(rng);
-  const double d = stats::ks_statistic(a, b);
-  EXPECT_GT(stats::ks_p_value(d, a.size(), b.size()), 0.01);
-}
-
-TEST(KsTest, ShiftedDistributionGivesTinyPValue) {
-  stats::Xoshiro256pp rng(7);
-  std::vector<double> a(400), b(400);
-  for (double& v : a) v = stats::sample_standard_normal(rng);
-  for (double& v : b) v = stats::sample_standard_normal(rng) + 1.0;
-  const double d = stats::ks_statistic(a, b);
-  EXPECT_LT(stats::ks_p_value(d, a.size(), b.size()), 1e-6);
-}
 
 // ----------------------------------------------------------- higher moments
 

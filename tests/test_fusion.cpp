@@ -403,6 +403,13 @@ TEST(MultiPopulation, CorruptedPopulationIsContained) {
     expect_bitwise_equal(snapshot.populations[p].independent,
                          solo.snapshot());
   }
+
+  // A repeat poll answers every slot from its memo, the failed one too: the
+  // same error, and no CV grid point is scored again.
+  const std::uint64_t grid_points = counter_total("core.cv.grid_points");
+  EXPECT_EQ(fused.snapshot().populations[1].error,
+            snapshot.populations[1].error);
+  EXPECT_EQ(counter_total("core.cv.grid_points"), grid_points);
 }
 
 // --------------------------------------------------- correlation toolbox

@@ -1,5 +1,5 @@
-// Tests for the noise analysis, DC sweep, process corners, and the
-// marginal-mean distribution — against closed-form references.
+// Tests for the noise analysis, DC sweep and process corners — against
+// closed-form references.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +10,6 @@
 #include "circuit/process.hpp"
 #include "circuit/sweep.hpp"
 #include "common/contracts.hpp"
-#include "core/normal_wishart.hpp"
-#include "stats/moments.hpp"
-#include "stats/student_t.hpp"
 
 namespace bmfusion::circuit {
 namespace {
@@ -239,29 +236,6 @@ TEST(ProcessCorners, CornersBracketOpAmpPower) {
   const double p_ss = metrics_at(ProcessCorner::kSlowSlow)[2];
   EXPECT_GT(p_ff, p_tt);
   EXPECT_LT(p_ss, p_tt);
-}
-
-// ------------------------------------------------------------ marginal mu
-
-TEST(MarginalMean, ShrinksWithKappaAndMatchesSampling) {
-  core::GaussianMoments early;
-  early.mean = linalg::Vector{1.0, -1.0};
-  early.covariance = linalg::Matrix{{1.0, 0.2}, {0.2, 0.5}};
-  const core::NormalWishart nw =
-      core::NormalWishart::from_early_stage(early, 8.0, 20.0);
-  const core::NormalWishart::StudentT marg = nw.marginal_mean();
-  EXPECT_NEAR(marg.dof, 20.0 - 2.0 + 1.0, 1e-12);
-  EXPECT_TRUE(approx_equal(marg.location, early.mean, 1e-12));
-
-  // Monte-Carlo check: the covariance of mu draws from the joint matches
-  // the marginal-t covariance scale * dof/(dof-2).
-  stats::Xoshiro256pp rng(12);
-  stats::MomentAccumulator acc(2);
-  for (int i = 0; i < 40000; ++i) {
-    acc.add(nw.sample(rng).first);
-  }
-  const stats::MultivariateStudentT t(marg.dof, marg.location, marg.scale);
-  EXPECT_TRUE(approx_equal(acc.covariance_mle(), t.covariance(), 0.01));
 }
 
 }  // namespace

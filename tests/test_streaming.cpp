@@ -749,8 +749,9 @@ TEST_F(StreamingParity, EveryMutatorInvalidatesTheMemo) {
 
 TEST(SnapshotMemo, ThrowingSnapshotThrowsAgain) {
   // Values whose outer products overflow to +inf make the snapshot throw a
-  // typed numeric error. A failure is never memoized: the next call runs
-  // again and throws again, and a later healthy stream memoizes as usual.
+  // typed numeric error. The failure is memoized like an answer: the next
+  // call rethrows the same error without re-running the CV grid, and a
+  // later healthy stream memoizes as usual.
   EarlyStageKnowledge early;
   early.moments.mean = Vector{0.0, 0.1};
   early.moments.covariance = Matrix::identity(2);
@@ -769,16 +770,31 @@ TEST(SnapshotMemo, ThrowingSnapshotThrowsAgain) {
   bmf.observe(huge);
 
   const std::uint64_t hits = counter_total("core.stream.snapshot_hits");
-  EXPECT_THROW((void)bmf.snapshot(), NumericError);
-  EXPECT_THROW((void)bmf.snapshot(), NumericError);
-  EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits);
+  std::string first_error;
+  try {
+    (void)bmf.snapshot();
+    ADD_FAILURE() << "snapshot of an overflowed stream did not throw";
+  } catch (const NumericError& e) {
+    first_error = e.what();
+  }
+  const std::uint64_t grid_points = counter_total("core.cv.grid_points");
+  try {
+    (void)bmf.snapshot();
+    ADD_FAILURE() << "memoized snapshot error was not rethrown";
+  } catch (const NumericError& e) {
+    EXPECT_EQ(std::string(e.what()), first_error);
+  }
+  EXPECT_EQ(counter_total("core.cv.grid_points"), grid_points);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits + 1);
+  }
 
   bmf.reset_stream();
   bmf.observe(synthetic_samples(64, 2, 71));
   const EstimateResult first = bmf.snapshot();
   expect_bitwise_equal(bmf.snapshot(), first);
   if (telemetry::enabled()) {
-    EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits + 1);
+    EXPECT_EQ(counter_total("core.stream.snapshot_hits"), hits + 2);
   }
 }
 
