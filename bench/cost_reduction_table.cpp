@@ -6,10 +6,15 @@
 //     n = 32 (Section 5.2).
 // Prints one row per (circuit, moment) with the measured cost-reduction
 // factor at small n and the median hyper-parameters selected at n = 32.
+// --json PATH also writes the rows as one JSON object (full precision);
+// scripts/check_claims.py pins them in ctest.
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "bench_common.hpp"
+#include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -20,6 +25,7 @@ using namespace bmfusion;
 struct ClaimRow {
   std::string circuit;
   std::string moment;
+  std::size_t small_n;
   double factor_small_n;
   double paper_factor;
   double kappa32;
@@ -32,6 +38,7 @@ ClaimRow make_row(const std::string& circuit, const std::string& moment,
   ClaimRow row;
   row.circuit = circuit;
   row.moment = moment;
+  row.small_n = small_n;
   row.factor_small_n =
       core::cost_reduction_factor(result.rows, small_n, use_cov);
   row.paper_factor = paper_factor;
@@ -46,6 +53,27 @@ ClaimRow make_row(const std::string& circuit, const std::string& moment,
   return row;
 }
 
+void write_json(const std::string& path, const ClaimRow* rows,
+                std::size_t count) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << "{\"bench\": \"cost_reduction_table\", \"rows\": [";
+  for (std::size_t i = 0; i < count; ++i) {
+    const ClaimRow& r = rows[i];
+    char numbers[256];
+    std::snprintf(numbers, sizeof numbers,
+                  "\"n\": %zu, \"measured_x\": %.17g, \"paper_x\": %.17g, "
+                  "\"kappa0_n32\": %.17g, \"nu0_n32\": %.17g",
+                  r.small_n, r.factor_small_n, r.paper_factor, r.kappa32,
+                  r.nu32);
+    out << (i == 0 ? "\n  " : ",\n  ") << "{\"circuit\": \"" << r.circuit
+        << "\", \"moment\": \"" << r.moment << "\", " << numbers << "}";
+  }
+  out << "\n]}\n";
+  if (!out.good()) {
+    throw DataError("cost_reduction_table: failed to write " + path);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,6 +83,7 @@ int main(int argc, char** argv) {
       "reduction factors and selected hyper-parameters");
   bench::add_common_flags(cli, 5000);
   cli.add_flag("adc-samples", "1000", "ADC Monte-Carlo population size");
+  cli.add_flag("json", "", "also write the rows to this JSON file");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const std::string dir = cli.get_string("data-dir");
@@ -93,6 +122,11 @@ int main(int argc, char** argv) {
     std::printf(
         "# paper reference points: opamp kappa0=4.67 nu0=557.3 @n=32; "
         "adc kappa0=521.9 nu0=558.8 @n=32\n");
+    const std::string json_path = cli.get_string("json");
+    if (!json_path.empty()) {
+      write_json(json_path, rows, std::size(rows));
+      std::printf("# rows written to %s\n", json_path.c_str());
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cost_reduction_table: %s\n", e.what());
     return 1;

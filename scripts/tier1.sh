@@ -5,8 +5,9 @@
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
-# bugs like to hide) plus the streaming, multi-population fusion and serve
-# suites, and finally a ThreadSanitizer build covering the telemetry
+# bugs like to hide) plus the CV grid kernel, streaming, multi-population
+# fusion and serve suites, and finally a ThreadSanitizer build covering the
+# CV grid kernel (per-row workspaces on the shared pool), the telemetry
 # shard-merge tests (per-thread shards + merge-on-read), the log sinks, the
 # full serve suite (epoll I/O threads trading connections, atomic stop
 # flags, the stop/wait handshake), the fusion suite (N per-population CV
@@ -49,17 +50,21 @@ fi
 if [[ "${skip_asan}" -eq 1 ]]; then
   echo "==> tier-1: ASan+UBSan stage skipped (--skip-asan)"
 else
-  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + streaming + fusion + serve suites"
+  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + cv kernel + streaming + fusion + serve suites"
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
-    --target test_fault_injection test_telemetry test_log test_streaming \
-    test_fusion test_serve
+    --target test_fault_injection test_telemetry test_log test_cv_kernel \
+    test_streaming test_fusion test_serve
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_telemetry
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_log
+  # The CV grid kernel: workspace reuse across points and folds, in-place
+  # triangular solves, and the hand-off to the jitter/LDLT fallback chain.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_cv_kernel
   # Streaming estimators: shard merges, the whole-batch observe screen and
   # the snapshot memo's copy, clear and exception paths.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -157,7 +162,7 @@ else
   echo "==> tier-1: TSan build + telemetry shard-merge + log sink tests"
   cmake -B build-tsan -S . -DBMF_SANITIZE=thread
   cmake --build build-tsan -j \
-    --target test_telemetry test_log test_serve test_fusion
+    --target test_telemetry test_log test_serve test_fusion test_cv_kernel
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_telemetry \
     --gtest_filter='CounterShards.*:HistogramShards.*:Trace.*'
@@ -177,6 +182,10 @@ else
   # out and joins N pools' worth of cross-thread edges.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_fusion
+  # The CV grid kernel: one workspace per kappa0 row, rows spread over the
+  # shared pool, each writing its own slice of the score table.
+  TSAN_OPTIONS=halt_on_error=1 \
+    ./build-tsan/tests/test_cv_kernel
 
   # The parallel Monte Carlo engine: pool workers streaming into per-worker
   # StatStreams, disjoint row writes, sharded telemetry counters from inside

@@ -55,11 +55,14 @@ const StageTransforms& BmfEstimator::transforms_for(
 
 void BmfEstimator::on_nominal_changed() { transform_cache_.reset(); }
 
-Vector BmfEstimator::stream_transform(const Vector& sample) const {
-  if (!config_.apply_shift_scale) return sample;
+void BmfEstimator::stream_transform(const Vector& sample, Vector& out) const {
+  if (!config_.apply_shift_scale) {
+    out = sample;
+    return;
+  }
   BMFUSION_REQUIRE(nominal().size() != 0,
                    "bmf streaming needs set_nominal before observe");
-  return transforms_for(nominal()).late.apply(sample);
+  transforms_for(nominal()).late.apply_into(sample, out);
 }
 
 SufficientStats BmfEstimator::stream_transform_stats(

@@ -124,8 +124,8 @@ class BmfEstimator final : public MomentEstimator {
   [[nodiscard]] std::size_t stream_folds() const override {
     return config_.cv.folds;
   }
-  [[nodiscard]] linalg::Vector stream_transform(
-      const linalg::Vector& sample) const override;
+  void stream_transform(const linalg::Vector& sample,
+                        linalg::Vector& out) const override;
   [[nodiscard]] SufficientStats stream_transform_stats(
       const SufficientStats& stats) const override;
   void on_nominal_changed() override;

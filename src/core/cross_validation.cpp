@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -16,6 +17,82 @@ namespace bmfusion::core {
 
 using linalg::Matrix;
 using linalg::Vector;
+
+namespace {
+
+/// One scorable fold, summarized once per selection: its training set
+/// (totals minus the fold) and the held-out fold itself, each as the
+/// (count, mean, scatter) triple the fuse and the score consume.
+struct FoldSummary {
+  std::size_t index = 0;  ///< position in the caller's fold list
+  double train_n = 0.0;
+  Vector train_mean;
+  Matrix train_scatter;
+  std::size_t test_count = 0;
+  Vector test_mean;
+  Matrix test_scatter;
+};
+
+/// Working storage one grid-sweep task reuses across its points and folds:
+/// fused moments, their Cholesky factor and the triangular-solve buffer.
+struct GridWorkspace {
+  GaussianMoments fused;
+  linalg::Cholesky chol;
+  Vector work;
+};
+
+/// Mean per-sample held-out log-likelihood of one (kappa0, nu0) point over
+/// the scorable folds; -infinity when a fold's fit is not factorizable even
+/// through the fallback chain, or when no fold is scorable. Equal bit for
+/// bit to map_fuse followed by log_likelihood(map, test, fallback) per
+/// fold: the clean Cholesky attempt runs on the workspace, and a fit that
+/// fails it goes through that very log_likelihood call.
+double score_grid_point(const GaussianMoments& early,
+                        const std::vector<SufficientStats>& fold_stats,
+                        const std::vector<FoldSummary>& summaries,
+                        double kappa0, double nu0,
+                        const LikelihoodFallback& fallback,
+                        GridWorkspace& ws) {
+  double total_loglik = 0.0;
+  std::size_t total_count = 0;
+  std::uint64_t clean_scores = 0;
+  bool valid = true;
+  for (const FoldSummary& fold : summaries) {
+    map_fuse_into(early, fold.train_n, fold.train_mean, fold.train_scatter,
+                  kappa0, nu0, ws.fused);
+    if (ws.chol.try_factor(ws.fused.covariance)) {
+      ++clean_scores;
+      total_loglik += log_likelihood_from_summary(
+          ws.chol, ws.fused.mean, static_cast<double>(fold.test_count),
+          fold.test_mean, fold.test_scatter, ws.work);
+    } else {
+      try {
+        total_loglik +=
+            log_likelihood(ws.fused, fold_stats[fold.index], fallback);
+      } catch (const NumericError&) {
+        valid = false;  // degenerate fit: disqualify this grid point
+        BMF_LOG_DEBUG("cv fold disqualified grid point",
+                      log::f("kappa0", kappa0), log::f("nu0", nu0),
+                      log::f("fold", fold.index),
+                      log::f("folds", fold_stats.size()));
+        break;
+      }
+    }
+    total_count += fold.test_count;
+  }
+  // The clean scores count as the fallback overload's evaluations they
+  // replace; handed-off fits count themselves.
+  BMF_COUNTER_ADD("core.loglik.evals", clean_scores);
+  BMF_COUNTER_ADD("core.loglik.fallback_evals", clean_scores);
+  if (!valid) {
+    BMF_COUNTER_ADD("core.cv.disqualified_points", 1);
+    return -std::numeric_limits<double>::infinity();
+  }
+  return total_count > 0 ? total_loglik / static_cast<double>(total_count)
+                         : -std::numeric_limits<double>::infinity();
+}
+
+}  // namespace
 
 void CrossValidationConfig::validate() const {
   // folds >= 2 is what every fold-based consumer ultimately needs; checking
@@ -115,33 +192,39 @@ CrossValidationResult select_hyperparameters(
                    "cross validation needs >= 2 late-stage samples");
 
   const std::size_t folds = fold_stats.size();
-  const std::vector<SufficientStats>& test_stats = fold_stats;
   const double d = static_cast<double>(early_scaled.dimension());
   const std::vector<double> kappas =
       log_spaced(config.kappa_min, config.kappa_max, config.kappa_points);
   const std::vector<double> nu_offsets = log_spaced(
       config.nu_offset_min, config.nu_offset_max, config.nu_points);
 
-  // Each leave-one-fold-out training set is the totals minus the held-out
-  // fold — O(folds) stats arithmetic, however many samples they summarize.
+  // Summarize every scorable fold once: each leave-one-fold-out training set
+  // is the totals minus the held-out fold (O(folds) stats arithmetic,
+  // however many samples they summarize), and both sides enter the grid
+  // only through (count, mean, scatter). An empty fold (possible only on
+  // the streaming path) or one whose training set is empty is skipped.
   SufficientStats totals(early_scaled.dimension());
-  for (const SufficientStats& fold : test_stats) {
+  for (const SufficientStats& fold : fold_stats) {
     if (fold.count() > 0) totals += fold;
   }
-  std::vector<SufficientStats> train_stats;
-  train_stats.reserve(folds);
-  for (const SufficientStats& fold : test_stats) {
-    // An empty fold (possible only on the streaming path) is skipped during
-    // scoring, so its training set is never fused; keep the totals as a
-    // dimension-matched placeholder.
-    train_stats.push_back(fold.count() > 0 ? totals - fold : totals);
+  std::vector<FoldSummary> summaries;
+  summaries.reserve(folds);
+  for (std::size_t q = 0; q < folds; ++q) {
+    const SufficientStats& test = fold_stats[q];
+    if (test.count() == 0 || test.count() == totals.count()) continue;
+    const SufficientStats train = totals - test;
+    summaries.push_back(FoldSummary{
+        q, static_cast<double>(train.count()), train.mean(), train.scatter(),
+        test.count(), test.mean(), test.scatter()});
   }
 
-  // Sweep the grid in parallel; index = kappa_index * nu_points + nu_index
-  // keeps the table row-major with kappa outer, matching sequential order.
-  // Scoring opts into the documented fallback chain (ridge-jitter retries,
-  // then clamped LDLT) so a near-singular fold downgrades gracefully instead
-  // of silently disqualifying the grid point; only genuinely indefinite fits
+  // Sweep the grid in parallel, one kappa row per task so a row's nu sweep
+  // reuses one workspace across its points and folds; index = kappa_index *
+  // nu_points + nu_index keeps the table row-major with kappa outer,
+  // matching sequential order. A fit whose clean Cholesky fails is handed
+  // to the fallback chain of log_likelihood (ridge-jitter retries, then
+  // clamped LDLT) so a near-singular fold downgrades gracefully instead of
+  // silently disqualifying the grid point; only genuinely indefinite fits
   // still disqualify.
   const LikelihoodFallback score_fallback{};
   std::vector<GridScore> grid(kappas.size() * nu_offsets.size());
@@ -149,38 +232,20 @@ CrossValidationResult select_hyperparameters(
   BMF_COUNTER_ADD("core.cv.selections", 1);
   BMF_COUNTER_ADD("core.cv.grid_points", grid.size());
   parallel_for(
-      grid.size(),
-      [&](std::size_t index) {
-        BMF_SCOPED_TIMER_US("core.cv.grid_point_us");
-        const double kappa0 = kappas[index / nu_offsets.size()];
-        const double nu0 = d + nu_offsets[index % nu_offsets.size()];
-        double total_loglik = 0.0;
-        std::size_t total_count = 0;
-        bool valid = true;
-        for (std::size_t q = 0; q < folds && valid; ++q) {
-          if (train_stats[q].count() == 0 || test_stats[q].count() == 0) {
-            continue;
-          }
-          try {
-            const GaussianMoments map =
-                map_fuse(early_scaled, train_stats[q], kappa0, nu0);
-            total_loglik += log_likelihood(map, test_stats[q],
-                                           score_fallback);
-            total_count += test_stats[q].count();
-          } catch (const NumericError&) {
-            valid = false;  // degenerate fit: disqualify this grid point
-            BMF_LOG_DEBUG("cv fold disqualified grid point",
-                          log::f("kappa0", kappa0), log::f("nu0", nu0),
-                          log::f("fold", q), log::f("folds", folds));
-          }
+      kappas.size(),
+      [&](std::size_t kappa_index) {
+        GridWorkspace ws;
+        for (std::size_t nu_index = 0; nu_index < nu_offsets.size();
+             ++nu_index) {
+          BMF_SCOPED_TIMER_US("core.cv.grid_point_us");
+          const double kappa0 = kappas[kappa_index];
+          const double nu0 = d + nu_offsets[nu_index];
+          GridScore& gs = grid[kappa_index * nu_offsets.size() + nu_index];
+          gs.kappa0 = kappa0;
+          gs.nu0 = nu0;
+          gs.score = score_grid_point(early_scaled, fold_stats, summaries,
+                                      kappa0, nu0, score_fallback, ws);
         }
-        if (!valid) BMF_COUNTER_ADD("core.cv.disqualified_points", 1);
-        GridScore& gs = grid[index];
-        gs.kappa0 = kappa0;
-        gs.nu0 = nu0;
-        gs.score = (valid && total_count > 0)
-                       ? total_loglik / static_cast<double>(total_count)
-                       : -std::numeric_limits<double>::infinity();
       },
       config.threads);
 

@@ -5,12 +5,20 @@
 // log-likelihood (eq. 9) under the MAP moments fitted on the training folds.
 // The grid point with the best average held-out score wins.
 //
-// The engine works on sufficient statistics: each fold's (count, sum,
-// scatter) triple is computed once, every leave-one-fold-out training set is
-// formed by subtracting the fold from the totals, and the MAP fuse plus the
-// held-out score are evaluated from the statistics in O(d^3) per
-// (grid point, fold) — independent of the sample count. Grid points are
-// evaluated in parallel on the persistent thread pool (common/parallel.hpp).
+// The engine works on sufficient statistics. Cost model of one selection:
+//   * once per selection, O(Q d^2): every leave-one-fold-out training set
+//     is the totals minus the fold, and each fold is reduced to the
+//     (count, mean, scatter) of its training and held-out sides;
+//   * once per (grid point, fold), O(d^3) with no heap allocation: the MAP
+//     fuse (map_fuse_into), a clean Cholesky and the held-out score
+//     (log_likelihood_from_summary), all written into one workspace that a
+//     sweep task reuses across its points and folds.
+// Neither term depends on the sample count. A fit whose clean Cholesky
+// fails is handed to log_likelihood(map, fold, LikelihoodFallback), whose
+// jitter retries and clamped LDLT decide whether it scores or disqualifies
+// the point. Every score is bitwise equal to map_fuse followed by that
+// log_likelihood call. Grid rows (one kappa0 each) are evaluated in
+// parallel on the persistent thread pool (common/parallel.hpp).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "core/estimator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <new>
 #include <sstream>
@@ -171,9 +172,11 @@ void MomentEstimator::ensure_streams(std::size_t dimension) {
                    "observed sample dimension must match the stream");
 }
 
-void MomentEstimator::observe_row(const linalg::Vector& sample) {
+void MomentEstimator::observe_row(const linalg::Vector& sample,
+                                  linalg::Vector& mapped) {
   ensure_streams(sample.size());
-  streams_[observed_ % streams_.size()].add(stream_transform(sample));
+  stream_transform(sample, mapped);
+  streams_[observed_ % streams_.size()].add(mapped);
   ++observed_;
 }
 
@@ -181,7 +184,8 @@ void MomentEstimator::observe(const linalg::Vector& sample) {
   forget_snapshot();
   BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
   require_finite_sample(sample, name());
-  observe_row(sample);
+  linalg::Vector mapped;
+  observe_row(sample, mapped);
   BMF_COUNTER_ADD("core.stream.observed_samples", 1);
 }
 
@@ -192,8 +196,14 @@ void MomentEstimator::observe(const linalg::Matrix& samples) {
   // Screen the whole batch before the first row lands: a non-finite cell in
   // row k rejects the batch whole instead of leaving rows 0..k-1 committed.
   require_finite_inputs(samples, linalg::Vector(), name());
+  // Rows go through two buffers reused across the batch, so the batch
+  // allocates a fixed amount however many rows it carries.
+  const std::size_t dim = samples.cols();
+  linalg::Vector row(dim);
+  linalg::Vector mapped;
   for (std::size_t i = 0; i < samples.rows(); ++i) {
-    observe_row(samples.row(i));
+    std::copy_n(samples.row_data(i), dim, row.data());
+    observe_row(row, mapped);
   }
   // One counter update per batch, not per row: the serve observe hot path
   // pushes 10k+ batches/s, where per-row updates are measurable.
@@ -345,9 +355,9 @@ EstimateResult MomentEstimator::do_snapshot(
                       "' does not support streaming estimation");
 }
 
-linalg::Vector MomentEstimator::stream_transform(
-    const linalg::Vector& sample) const {
-  return sample;
+void MomentEstimator::stream_transform(const linalg::Vector& sample,
+                                       linalg::Vector& out) const {
+  out = sample;
 }
 
 SufficientStats MomentEstimator::stream_transform_stats(

@@ -185,13 +185,14 @@ class MomentEstimator {
   /// fold count; default 1.
   [[nodiscard]] virtual std::size_t stream_folds() const { return 1; }
 
-  /// Maps a raw-space sample into the space the stream accumulates in.
-  /// Default: identity. BMF normalizes here so fold statistics are
-  /// accumulated from O(1)-centered values instead of being algebraically
-  /// re-centered at snapshot time (which would cancel catastrophically for
-  /// metrics whose nominal dwarfs their spread).
-  [[nodiscard]] virtual linalg::Vector stream_transform(
-      const linalg::Vector& sample) const;
+  /// Maps a raw-space sample into the space the stream accumulates in,
+  /// writing it into `out` (resized, capacity reused: the observe path
+  /// keeps one buffer per batch). Default: identity. BMF normalizes here so
+  /// fold statistics are accumulated from O(1)-centered values instead of
+  /// being algebraically re-centered at snapshot time (which would cancel
+  /// catastrophically for metrics whose nominal dwarfs their spread).
+  virtual void stream_transform(const linalg::Vector& sample,
+                                linalg::Vector& out) const;
 
   /// Same map for pre-summarized statistics (absorb path). Default:
   /// identity. Transforming a summary is exact only in real arithmetic —
@@ -206,8 +207,9 @@ class MomentEstimator {
  private:
   /// Shared body of the two observe overloads, minus the finite-input
   /// screen and the sample counter: the batch overload screens the whole
-  /// batch up front and counts once per batch, not per row.
-  void observe_row(const linalg::Vector& sample);
+  /// batch up front and counts once per batch, not per row. `mapped` is the
+  /// caller's stream_transform buffer.
+  void observe_row(const linalg::Vector& sample, linalg::Vector& mapped);
 
   /// Sizes the fold accumulators on first use and pins the dimension.
   void ensure_streams(std::size_t dimension);

@@ -51,27 +51,47 @@ void require_stats_match(const GaussianMoments& moments,
                    "log likelihood needs >= 1 summarized sample");
 }
 
-/// Assembles the score from a factorization's logdet/trace/Mahalanobis.
-template <typename Factorization>
-double score_with(const Factorization& fac, double log_det,
-                  const GaussianMoments& moments,
-                  const SufficientStats& stats) {
-  const double n = static_cast<double>(stats.count());
-  const double d = static_cast<double>(moments.dimension());
-  const double quad = fac.trace_of_solve(stats.scatter()) +
-                      n * fac.mahalanobis_squared(stats.mean() -
-                                                  moments.mean);
+/// The score from a factorization's log-determinant, trace(Sigma^{-1} S)
+/// and Mahalanobis term — the one copy of the formula.
+double assemble_score(double n, double d, double log_det, double trace,
+                      double maha) {
+  const double quad = trace + n * maha;
   return -0.5 * n * (d * kLog2Pi + log_det) - 0.5 * quad;
 }
 
+double score_with(const linalg::Cholesky& chol,
+                  const GaussianMoments& moments,
+                  const SufficientStats& stats) {
+  linalg::Vector work;
+  return log_likelihood_from_summary(chol, moments.mean,
+                                     static_cast<double>(stats.count()),
+                                     stats.mean(), stats.scatter(), work);
+}
+
 }  // namespace
+
+double log_likelihood_from_summary(const linalg::Cholesky& chol,
+                                   const linalg::Vector& mean, double n,
+                                   const linalg::Vector& xbar,
+                                   const linalg::Matrix& scatter,
+                                   linalg::Vector& work) {
+  const std::size_t dim = mean.size();
+  BMFUSION_REQUIRE(chol.dimension() == dim && xbar.size() == dim,
+                   "summary dimension must match the factored covariance");
+  const double trace = chol.trace_of_solve(scatter, work);
+  work.resize(dim);
+  for (std::size_t i = 0; i < dim; ++i) work[i] = xbar[i] - mean[i];
+  const double maha = chol.mahalanobis_squared(work, work);
+  return assemble_score(n, static_cast<double>(dim), chol.log_determinant(),
+                        trace, maha);
+}
 
 double log_likelihood(const GaussianMoments& moments,
                       const SufficientStats& stats) {
   require_stats_match(moments, stats);
   BMF_COUNTER_ADD("core.loglik.evals", 1);
   const linalg::Cholesky chol(moments.covariance);  // throws when not SPD
-  return score_with(chol, chol.log_determinant(), moments, stats);
+  return score_with(chol, moments, stats);
 }
 
 double log_likelihood(const GaussianMoments& moments,
@@ -91,7 +111,7 @@ double log_likelihood(const GaussianMoments& moments,
                     log::f("dim", moments.dimension()),
                     log::f("n", stats.count()));
     }
-    return score_with(chol, chol.log_determinant(), moments, stats);
+    return score_with(chol, moments, stats);
   } catch (const NumericError& e) {
     if (!fallback.ldlt) {
       throw NumericError("log likelihood: covariance not factorizable",
@@ -110,7 +130,11 @@ double log_likelihood(const GaussianMoments& moments,
                 log::f("n", stats.count()));
   try {
     const linalg::Ldlt ldlt = linalg::Ldlt::semidefinite(moments.covariance);
-    return score_with(ldlt, ldlt.log_abs_determinant(), moments, stats);
+    return assemble_score(
+        static_cast<double>(stats.count()),
+        static_cast<double>(moments.dimension()), ldlt.log_abs_determinant(),
+        ldlt.trace_of_solve(stats.scatter()),
+        ldlt.mahalanobis_squared(stats.mean() - moments.mean));
   } catch (const NumericError& e) {
     throw NumericError("log likelihood: covariance not factorizable",
                        ErrorContext{}

@@ -66,6 +66,17 @@ struct LikelihoodFallback {
                                     const SufficientStats& stats,
                                     const LikelihoodFallback& fallback);
 
+/// Allocation-free core of the sufficient-statistic score: the strict
+/// overload's value for a held-out summary (count n, mean xbar, scatter S)
+/// under a Gaussian with mean `mean` whose covariance is already factored
+/// in `chol`. `work` holds the triangular solves (resized, capacity
+/// reused). Both log_likelihood overloads score their Cholesky branch here,
+/// and the cross-validation sweep calls it once per (grid point, fold).
+[[nodiscard]] double log_likelihood_from_summary(
+    const linalg::Cholesky& chol, const linalg::Vector& mean, double n,
+    const linalg::Vector& xbar, const linalg::Matrix& scatter,
+    linalg::Vector& work);
+
 /// Estimation error of a mean vector, ||est - exact||_2 (paper eq. 37).
 [[nodiscard]] double mean_error(const linalg::Vector& estimated,
                                 const linalg::Vector& exact);

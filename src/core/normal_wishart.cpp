@@ -186,30 +186,61 @@ NormalWishart::StudentT NormalWishart::posterior_predictive() const {
 GaussianMoments map_fuse(const GaussianMoments& early,
                          const SufficientStats& stats, double kappa0,
                          double nu0) {
-  const auto d = static_cast<double>(early.dimension());
   BMFUSION_REQUIRE(stats.dimension() == early.dimension(),
                    "sufficient stats dimension must match the early moments");
   BMFUSION_REQUIRE(stats.count() >= 1, "map_fuse needs >= 1 sample");
+  GaussianMoments fused;
+  map_fuse_into(early, static_cast<double>(stats.count()), stats.mean(),
+                stats.scatter(), kappa0, nu0, fused);
+  return fused;
+}
+
+void map_fuse_into(const GaussianMoments& early, double n, const Vector& xbar,
+                   const Matrix& scatter, double kappa0, double nu0,
+                   GaussianMoments& fused) {
+  const std::size_t dim = early.dimension();
+  const auto d = static_cast<double>(dim);
+  BMFUSION_REQUIRE(early.covariance.rows() == dim &&
+                       early.covariance.cols() == dim && xbar.size() == dim &&
+                       scatter.rows() == dim && scatter.cols() == dim,
+                   "late summary dimension must match the early moments");
+  BMFUSION_REQUIRE(n >= 1.0, "map_fuse needs >= 1 sample");
   BMFUSION_REQUIRE(kappa0 > 0.0, "kappa0 must be positive");
   BMFUSION_REQUIRE(nu0 > d, "map_fuse needs nu0 > d (paper eq. 20)");
-  const auto n = static_cast<double>(stats.count());
-  const Vector xbar = stats.mean();
+  BMFUSION_REQUIRE(&fused != &early, "map_fuse_into cannot fuse in place");
+  const double* const mu_e = early.mean.data();
+  const double* const xb = xbar.data();
 
   // eqs. (24), (29): mu_MAP = mu_n = (kappa0 mu_E + n xbar) / (kappa0 + n).
-  GaussianMoments fused;
-  fused.mean = (early.mean * kappa0 + xbar * n) / (kappa0 + n);
+  const double kappa_n = kappa0 + n;
+  fused.mean.resize(dim);
+  double* const mu = fused.mean.data();
+  for (std::size_t i = 0; i < dim; ++i) {
+    mu[i] = (mu_e[i] * kappa0 + xb[i] * n) / kappa_n;
+  }
 
   // eq. (25) with the eq. (20) anchoring substituted: the prior scale obeys
-  // T0^-1 = (nu0 - d) Sigma_E, so no matrix inversion is needed to form it.
-  const Vector delta = early.mean - xbar;
-  Matrix tn_inv = early.covariance * (nu0 - d) + stats.scatter() +
-                  outer(delta, delta) * (kappa0 * n / (kappa0 + n));
-
-  // eqs. (28), (32): Lambda_MAP = (nu_n - d) T_n with nu_n = nu0 + n, hence
-  // Sigma_MAP = T_n^-1 / (nu0 + n - d) — again inversion-free.
-  fused.covariance = tn_inv / (nu0 + n - d);
+  // T0^-1 = (nu0 - d) Sigma_E, so no matrix inversion is needed to form it:
+  //   T_n^-1 = (nu0 - d) Sigma_E + S + kappa0 n/(kappa0+n) delta delta^T
+  // with delta = mu_E - xbar. eqs. (28), (32): Lambda_MAP = (nu_n - d) T_n
+  // with nu_n = nu0 + n, hence Sigma_MAP = T_n^-1 / (nu0 + n - d) — again
+  // inversion-free.
+  const double prior_weight = nu0 - d;
+  const double shrink = kappa0 * n / (kappa0 + n);
+  const double dof = nu0 + n - d;
+  fused.covariance.assign_zero(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    const double* const sigma_e = early.covariance.row_data(r);
+    const double* const s = scatter.row_data(r);
+    double* const out = fused.covariance.row_data(r);
+    const double delta_r = mu_e[r] - xb[r];
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double delta_c = mu_e[c] - xb[c];
+      out[c] = (sigma_e[c] * prior_weight + s[c] + delta_r * delta_c * shrink) /
+               dof;
+    }
+  }
   fused.covariance.symmetrize();
-  return fused;
 }
 
 double NormalWishart::student_t_log_pdf(const StudentT& t, const Vector& x) {

@@ -128,4 +128,15 @@ class NormalWishart {
                                        const SufficientStats& stats,
                                        double kappa0, double nu0);
 
+/// Allocation-free core of map_fuse: the same estimate from a late-stage
+/// summary (count n, mean xbar, scatter S), written into `fused` (mean and
+/// covariance resized, capacity reused). map_fuse summarizes its statistics
+/// and delegates here; the cross-validation sweep summarizes each fold once
+/// per selection and calls this once per (grid point, fold). Requires
+/// nu0 > d, kappa0 > 0, n >= 1 and shapes matching `early`; `fused` must not
+/// be `early`.
+void map_fuse_into(const GaussianMoments& early, double n,
+                   const linalg::Vector& xbar, const linalg::Matrix& scatter,
+                   double kappa0, double nu0, GaussianMoments& fused);
+
 }  // namespace bmfusion::core

@@ -27,12 +27,17 @@ ShiftScale::ShiftScale(Vector shift, Vector scale)
 }
 
 Vector ShiftScale::apply(const Vector& x) const {
+  Vector y;
+  apply_into(x, y);
+  return y;
+}
+
+void ShiftScale::apply_into(const Vector& x, Vector& y) const {
   BMFUSION_REQUIRE(x.size() == dimension(), "transform dimension mismatch");
-  Vector y(dimension());
+  y.resize(dimension());
   for (std::size_t i = 0; i < dimension(); ++i) {
     y[i] = (x[i] - shift_[i]) / scale_[i];
   }
-  return y;
 }
 
 Matrix ShiftScale::apply(const Matrix& samples) const {

@@ -27,6 +27,11 @@ class ShiftScale {
   /// Forward transform of one point.
   [[nodiscard]] linalg::Vector apply(const linalg::Vector& x) const;
 
+  /// Same transform written into `y` (resized, capacity reused), so a
+  /// caller that keeps `y` across points allocates nothing. `y` may be
+  /// `x`.
+  void apply_into(const linalg::Vector& x, linalg::Vector& y) const;
+
   /// Forward transform of a sample matrix (row-wise).
   [[nodiscard]] linalg::Matrix apply(const linalg::Matrix& samples) const;
 

@@ -38,13 +38,9 @@ bool Cholesky::factor_into(const Matrix& a, Matrix& l, std::size_t* bad_index,
 }
 
 void Cholesky::factor(const Matrix& a) {
-  BMFUSION_REQUIRE(a.is_square(), "cholesky requires a square matrix");
-  BMFUSION_REQUIRE(a.is_symmetric(1e-9),
-                   "cholesky requires a symmetric matrix");
-  jitter_ = 0.0;
   std::size_t bad_index = 0;
   double bad_value = 0.0;
-  if (!factor_into(a, l_, &bad_index, &bad_value)) {
+  if (!try_factor(a, &bad_index, &bad_value)) {
     throw NumericError(
         "cholesky: matrix is not positive definite (non-positive pivot)",
         ErrorContext{}
@@ -55,25 +51,43 @@ void Cholesky::factor(const Matrix& a) {
   }
 }
 
+bool Cholesky::try_factor(const Matrix& a, std::size_t* bad_index,
+                          double* bad_value) {
+  BMFUSION_REQUIRE(a.is_square(), "cholesky requires a square matrix");
+  BMFUSION_REQUIRE(a.is_symmetric(1e-9),
+                   "cholesky requires a symmetric matrix");
+  jitter_ = 0.0;
+  return factor_into(a, l_, bad_index, bad_value);
+}
+
 void Cholesky::solve_into(const Vector& b, Vector& x) const {
   BMFUSION_REQUIRE(b.size() == dimension(), "rhs size mismatch");
-  const std::size_t n = dimension();
-  x.resize(n);
-  const double* const rhs = b.data();
-  double* const out = x.data();
+  x.resize(dimension());
   // Forward substitution (L y = b) directly into the solution buffer, then
-  // backward substitution (L^T x = y) in place: each pass only reads entries
-  // it has already finalized plus the current one before overwriting it.
+  // backward substitution (L^T x = y) in place.
+  forward_substitute(b.data(), 1, x.data());
+  backward_substitute(x.data(), 0);
+}
+
+void Cholesky::forward_substitute(const double* rhs, std::size_t stride,
+                                  double* out) const {
+  // Each step reads only entries it has already finalized plus its own
+  // right-hand side before overwriting it, so `out` may alias `rhs`.
+  const std::size_t n = dimension();
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = rhs[i];
+    double acc = rhs[i * stride];
     const double* const row_i = l_.row_data(i);
     for (std::size_t k = 0; k < i; ++k) acc -= row_i[k] * out[k];
     out[i] = acc / row_i[i];
   }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = out[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * out[k];
-    out[ii] = acc / l_(ii, ii);
+}
+
+void Cholesky::backward_substitute(double* x, std::size_t stop) const {
+  const std::size_t n = dimension();
+  for (std::size_t ii = n; ii-- > stop;) {
+    double acc = x[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * x[k];
+    x[ii] = acc / l_(ii, ii);
   }
 }
 
@@ -134,25 +148,15 @@ bool Cholesky::is_positive_definite(const Matrix& a) {
 
 Vector Cholesky::solve_lower(const Vector& b) const {
   BMFUSION_REQUIRE(b.size() == dimension(), "rhs size mismatch");
-  const std::size_t n = dimension();
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l_(i, k) * y[k];
-    y[i] = acc / l_(i, i);
-  }
+  Vector y(dimension());
+  forward_substitute(b.data(), 1, y.data());
   return y;
 }
 
 Vector Cholesky::solve_upper(const Vector& b) const {
   BMFUSION_REQUIRE(b.size() == dimension(), "rhs size mismatch");
-  const std::size_t n = dimension();
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * x[k];
-    x[ii] = acc / l_(ii, ii);
-  }
+  Vector x = b;
+  backward_substitute(x.data(), 0);
   return x;
 }
 
@@ -186,18 +190,30 @@ double Cholesky::log_determinant() const {
 double Cholesky::determinant() const { return std::exp(log_determinant()); }
 
 double Cholesky::mahalanobis_squared(const Vector& x) const {
-  const Vector y = solve_lower(x);
-  return dot(y, y);
+  Vector work;
+  return mahalanobis_squared(x, work);
 }
 
-double Cholesky::trace_of_solve(const Matrix& b) const {
+double Cholesky::mahalanobis_squared(const Vector& x, Vector& work) const {
+  BMFUSION_REQUIRE(x.size() == dimension(), "rhs size mismatch");
+  work.resize(dimension());
+  forward_substitute(x.data(), 1, work.data());
+  return dot(work, work);
+}
+
+double Cholesky::trace_of_solve(const Matrix& b, Vector& work) const {
   BMFUSION_REQUIRE(b.is_square() && b.rows() == dimension(),
                    "trace_of_solve needs a matching square matrix");
-  // trace(A^{-1} B) = sum_c e_c^T A^{-1} B e_c; one solve per column.
+  // trace(A^{-1} B) = sum_c e_c^T A^{-1} B e_c; one solve per column, read
+  // in place from B. Entry c of a backward solve depends only on entries
+  // c+1..n-1, so the backward pass stops at c.
+  const std::size_t n = dimension();
+  work.resize(n);
   double acc = 0.0;
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vector x = solve(b.col(c));
-    acc += x[c];
+  for (std::size_t c = 0; c < n; ++c) {
+    forward_substitute(b.data() + c, n, work.data());
+    backward_substitute(work.data(), c);
+    acc += work[c];
   }
   return acc;
 }

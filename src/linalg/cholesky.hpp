@@ -58,6 +58,16 @@ class Cholesky {
   /// the constructor); clears any previously recorded jitter.
   void factor(const Matrix& a);
 
+  /// factor(a) that reports a non-positive pivot by returning false (and,
+  /// when given, its index and value) instead of throwing; shape and
+  /// symmetry violations still throw ContractError. The attempt is
+  /// bit-identical to the clean attempt of factor_with_jitter and
+  /// allocates nothing once the storage has grown to a's size. After false
+  /// the object is unusable until the next successful factor.
+  [[nodiscard]] bool try_factor(const Matrix& a,
+                                std::size_t* bad_index = nullptr,
+                                double* bad_value = nullptr);
+
   /// Factors `a`, retrying with an escalating diagonal ridge per `policy`
   /// when the clean attempt fails. The clean attempt is bit-identical to
   /// Cholesky(a), so well-conditioned matrices pay nothing and lose no
@@ -110,13 +120,31 @@ class Cholesky {
   /// Squared Mahalanobis distance x^T A^{-1} x via one triangular solve.
   [[nodiscard]] double mahalanobis_squared(const Vector& x) const;
 
+  /// Same value with the triangular solve written into `work` (resized,
+  /// capacity reused), so steady-state calls allocate nothing. `work` may
+  /// be `x` itself.
+  [[nodiscard]] double mahalanobis_squared(const Vector& x,
+                                           Vector& work) const;
+
   /// trace(A^{-1} B) for a square B, without forming A^{-1} or A^{-1} B.
   /// This is the workhorse of the sufficient-statistic likelihood score:
   /// the Gaussian log-likelihood of a sample set enters only through
-  /// trace(Sigma^{-1} S) and a Mahalanobis term.
-  [[nodiscard]] double trace_of_solve(const Matrix& b) const;
+  /// trace(Sigma^{-1} S) and a Mahalanobis term. The column solves are
+  /// written into `work` (resized, capacity reused), so steady-state calls
+  /// allocate nothing.
+  [[nodiscard]] double trace_of_solve(const Matrix& b, Vector& work) const;
 
  private:
+  /// Forward substitution L y = b for the right-hand side
+  /// b_i = rhs[i * stride], written to out[0..n). `out` may alias `rhs`
+  /// when stride is 1.
+  void forward_substitute(const double* rhs, std::size_t stride,
+                          double* out) const;
+
+  /// Backward substitution L^T x = y in place on x[0..n), computing entries
+  /// n-1 down to `stop` (0 for the full solve).
+  void backward_substitute(double* x, std::size_t stop) const;
+
   /// Returns true on success; on failure reports the offending pivot.
   [[nodiscard]] static bool factor_into(const Matrix& a, Matrix& l,
                                         std::size_t* bad_index = nullptr,

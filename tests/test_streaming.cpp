@@ -16,6 +16,7 @@
 
 #include "circuit/montecarlo.hpp"
 #include "circuit/opamp.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/contracts.hpp"
 #include "core/bmf_estimator.hpp"
 #include "core/estimator.hpp"
@@ -613,6 +614,55 @@ TEST(StreamingApi, RejectedBatchCommitsNoRow) {
   EXPECT_EQ(mle.observed_count(), 8u);
   EXPECT_EQ(stats::serialize_shard(mle.export_shard(1)), before);
   EXPECT_EQ(counter_total("core.stream.observed_samples"), observed);
+}
+
+TEST(StreamingApi, BatchObserveAllocationsDoNotGrowWithRowCount) {
+  // A batch's rows go through two buffers reused across the batch, so a
+  // batch costs a fixed number of allocations. The only per-row cost left
+  // is the fold streams' own: a fresh partial block whenever one fills
+  // (StatStream::kBlockSamples samples per fold), at most three allocations
+  // per filled block.
+  EarlyStageKnowledge early;
+  early.moments.mean = Vector{0.1, 0.2, 0.3, 0.4};
+  early.moments.covariance = Matrix::identity(4);
+  early.nominal = early.moments.mean;
+  const core::BmfConfig bmf_config;
+  struct Kind {
+    const char* name;
+    std::size_t folds;
+    std::function<std::unique_ptr<core::MomentEstimator>()> make;
+  };
+  const Kind kinds[] = {
+      {"mle", 1, [] { return std::make_unique<MleEstimator>(); }},
+      {"bmf", bmf_config.cv.folds, [&] {
+         auto bmf = std::make_unique<BmfEstimator>(early, bmf_config);
+         bmf->set_nominal(early.nominal);
+         return bmf;
+       }},
+  };
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    std::uint64_t allocations[2] = {0, 0};
+    std::size_t filled_blocks[2] = {0, 0};
+    const std::size_t rows[2] = {16, 64};
+    for (std::size_t k = 0; k < 2; ++k) {
+      const std::unique_ptr<core::MomentEstimator> est = kind.make();
+      // One row per fold first, so the fold streams and the transform
+      // cache exist before the measured batch.
+      est->observe(synthetic_samples(kind.folds, 4, 3));
+      const Matrix batch = synthetic_samples(rows[k], 4, 4);
+      const std::uint64_t before = common::allocation_count();
+      est->observe(batch);
+      allocations[k] = common::allocation_count() - before;
+      filled_blocks[k] = kind.folds * ((1 + rows[k] / kind.folds) /
+                                       StatStream::kBlockSamples);
+      EXPECT_EQ(est->observed_count(), kind.folds + rows[k]);
+    }
+    EXPECT_LE(allocations[1],
+              allocations[0] + 3 * (filled_blocks[1] - filled_blocks[0]))
+        << "16 rows: " << allocations[0] << " allocations, 64 rows: "
+        << allocations[1];
+  }
 }
 
 // --------------------------------------------------------- snapshot memo
