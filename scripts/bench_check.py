@@ -6,12 +6,16 @@ arrays written by scripts/bench.sh) against the most recent prior record of
 the same bench and fails with a readable diff when:
 
   * a throughput metric (any key containing "throughput") drops by more
-    than --max-drop-pct percent,
+    than DEFAULT_MAX_DROP_PCT percent,
   * a time metric (stage timings, *_ms scalars, real_time_ns kernels) rises
-    by more than --max-time-rise-pct percent,
-  * a parity/accuracy metric (max_score_dev) rises above --max-parity,
+    by more than DEFAULT_MAX_RISE_PCT percent,
+  * a parity/accuracy metric (max_score_dev) rises above DEFAULT_MAX_PARITY,
   * an allocation-per-sample metric rises at all (the zero-allocation
-    contract is exact, not statistical).
+    contract is exact, not statistical),
+
+and gates the newest record of the serve, circuit and fusion benches
+against absolute budgets. Every bound is one of the DEFAULT_* constants
+below; none is configurable from the command line.
 
 Usage:
   scripts/bench_check.py BENCH_circuit.json [BENCH_cv.json ...]
@@ -71,7 +75,7 @@ DEFAULT_MAX_FUSION_SNAPSHOT_MS = 50.0
 # should cost well under 1%; 3% leaves room for scheduler noise.
 DEFAULT_MAX_TELEMETRY_DROP_PCT = 3.0
 
-# Metrics where a *higher* value is better (compared against --max-drop-pct).
+# Metrics where a *higher* value is better (gated by DEFAULT_MAX_DROP_PCT).
 THROUGHPUT_HINT = "throughput"
 # Flat scalar keys treated as timings on top of the nested stage maps.
 TIME_SCALAR_KEYS = ("old_ms", "new_1t_ms", "new_mt_ms", "seconds")
@@ -107,14 +111,14 @@ def flatten_metrics(record):
     return metrics
 
 
-def serve_budget_rows(record, args):
+def serve_budget_rows(record):
     """Absolute budgets for serve-layer records (micro_serve* and
     bmf_soak*); no prior record needed."""
     binary = record.get("bench", "").endswith("_binary") \
         or record.get("mode") == "binary"
-    min_rps = args.min_serve_binary_rps if binary else args.min_serve_rps
-    max_p99_ms = args.max_serve_binary_p99_ms if binary \
-        else args.max_serve_p99_ms
+    min_rps = DEFAULT_MIN_SERVE_BINARY_RPS if binary else DEFAULT_MIN_SERVE_RPS
+    max_p99_ms = DEFAULT_MAX_SERVE_BINARY_P99_MS if binary \
+        else DEFAULT_MAX_SERVE_P99_MS
     rows = []
     rps = record.get("observe_throughput_rps")
     if isinstance(rps, (int, float)):
@@ -137,14 +141,14 @@ def serve_budget_rows(record, args):
     return rows
 
 
-def circuit_budget_rows(record, args):
+def circuit_budget_rows(record):
     """Absolute stage-time ceilings for micro_circuit records."""
     stages = record.get("stages")
     if not isinstance(stages, dict):
         return []
     rows = []
-    for name, budget in (("opamp_sample_us", args.max_opamp_sample_us),
-                         ("adc_sample_us", args.max_adc_sample_us)):
+    for name, budget in (("opamp_sample_us", DEFAULT_MAX_OPAMP_SAMPLE_US),
+                         ("adc_sample_us", DEFAULT_MAX_ADC_SAMPLE_US)):
         value = stages.get(name)
         if isinstance(value, (int, float)):
             bad = value > budget
@@ -156,21 +160,21 @@ def circuit_budget_rows(record, args):
     return rows
 
 
-def fusion_budget_rows(record, args):
+def fusion_budget_rows(record):
     """Absolute budgets for micro_fusion records (no prior record needed)."""
     rows = []
     ratio = record.get("rmse_ratio")
     if isinstance(ratio, (int, float)):
-        bad = ratio > args.max_fusion_rmse_ratio
+        bad = ratio > DEFAULT_MAX_FUSION_RMSE_RATIO
         rows.append((
             "FAIL" if bad else "ok",
             f"rmse_ratio: {ratio:.6g}"
             + (f" above fused/independent budget "
-               f"{args.max_fusion_rmse_ratio:g}" if bad else ""),
+               f"{DEFAULT_MAX_FUSION_RMSE_RATIO:g}" if bad else ""),
         ))
     p50 = record.get("snapshot_p50_us")
     if isinstance(p50, (int, float)):
-        budget_us = args.max_fusion_snapshot_ms * 1000.0
+        budget_us = DEFAULT_MAX_FUSION_SNAPSHOT_MS * 1000.0
         bad = p50 > budget_us
         rows.append((
             "FAIL" if bad else "ok",
@@ -190,7 +194,7 @@ def record_threads(record):
     return 1
 
 
-def scaling_rows(records, args):
+def scaling_rows(records):
     """Parallel-efficiency floor: newest multi-thread record vs the newest
     single-thread record of the same bench.
 
@@ -219,12 +223,12 @@ def scaling_rows(records, args):
         if st_metrics.get(name, 0.0) <= 0.0:
             continue
         efficiency = mt_metrics[name] / (st_metrics[name] * threads)
-        bad = efficiency < args.min_scaling_efficiency
+        bad = efficiency < DEFAULT_MIN_SCALING_EFFICIENCY
         rows.append((
             "FAIL" if bad else "ok",
             f"{name}: parallel efficiency {efficiency:.2f} at {threads} "
             f"threads (host_cores={host_cores})"
-            + (f" below floor {args.min_scaling_efficiency:g}" if bad
+            + (f" below floor {DEFAULT_MIN_SCALING_EFFICIENCY:g}" if bad
                else ""),
         ))
     return rows
@@ -272,7 +276,7 @@ def _best_telemetry_side(records, want_on):
     return max(same_rev, key=_best_throughput)
 
 
-def telemetry_overhead_rows(records, args):
+def telemetry_overhead_rows(records):
     """Metrics-ON vs metrics-OFF throughput budget: the best same-revision
     record with telemetry metadata true is compared against the best with
     telemetry false (same bench name). Missing metadata or a single-mode
@@ -291,12 +295,12 @@ def telemetry_overhead_rows(records, args):
         if off <= 0.0:
             continue
         drop_pct = 100.0 * (off - on_metrics[name]) / off
-        bad = drop_pct > args.max_telemetry_drop_pct
+        bad = drop_pct > DEFAULT_MAX_TELEMETRY_DROP_PCT
         rows.append((
             "FAIL" if bad else "ok",
             f"{name}: telemetry overhead {drop_pct:+.2f}% "
             f"(ON {on_metrics[name]:.6g} vs OFF {off:.6g})"
-            + (f" exceeds budget {args.max_telemetry_drop_pct:g}%" if bad
+            + (f" exceeds budget {DEFAULT_MAX_TELEMETRY_DROP_PCT:g}%" if bad
                else ""),
         ))
     return rows
@@ -313,7 +317,7 @@ def classify(name):
     return "time"
 
 
-def compare_records(previous, current, args):
+def compare_records(previous, current):
     """Returns a list of (severity, message) tuples; severity in {ok, FAIL}."""
     prev_metrics = flatten_metrics(previous)
     cur_metrics = flatten_metrics(current)
@@ -324,11 +328,11 @@ def compare_records(previous, current, args):
         prev, cur = prev_metrics[name], cur_metrics[name]
         kind = classify(name)
         if kind == "parity":
-            bad = cur > args.max_parity
+            bad = cur > DEFAULT_MAX_PARITY
             rows.append((
                 "FAIL" if bad else "ok",
                 f"{name}: {prev:.6g} -> {cur:.6g}"
-                + (f" (above parity budget {args.max_parity:g})" if bad
+                + (f" (above parity budget {DEFAULT_MAX_PARITY:g})" if bad
                    else ""),
             ))
             continue
@@ -344,11 +348,11 @@ def compare_records(previous, current, args):
             continue
         delta_pct = 100.0 * (cur - prev) / prev
         if kind == "throughput":
-            bad = -delta_pct > args.max_drop_pct
-            budget = f"-{args.max_drop_pct:g}%"
+            bad = -delta_pct > DEFAULT_MAX_DROP_PCT
+            budget = f"-{DEFAULT_MAX_DROP_PCT:g}%"
         else:
-            bad = delta_pct > args.max_time_rise_pct
-            budget = f"+{args.max_time_rise_pct:g}%"
+            bad = delta_pct > DEFAULT_MAX_RISE_PCT
+            budget = f"+{DEFAULT_MAX_RISE_PCT:g}%"
         rows.append((
             "FAIL" if bad else "ok",
             f"{name}: {prev:.6g} -> {cur:.6g} ({delta_pct:+.2f}%)"
@@ -367,11 +371,11 @@ def check_bench(path, bench_name, records, args):
     # Absolute budgets apply to the newest record alone, so a fresh history
     # with a single record is already gated.
     if bench_name.startswith(("micro_serve", "bmf_soak")):
-        rows = serve_budget_rows(current, args)
+        rows = serve_budget_rows(current)
     elif bench_name.startswith("micro_circuit"):
-        rows = circuit_budget_rows(current, args)
+        rows = circuit_budget_rows(current)
     elif bench_name.startswith("micro_fusion"):
-        rows = fusion_budget_rows(current, args)
+        rows = fusion_budget_rows(current)
     else:
         rows = []
     if previous is None:
@@ -384,7 +388,7 @@ def check_bench(path, bench_name, records, args):
     else:
         print(f"{path}: '{previous.get('label', '?')}' -> "
               f"'{current.get('label', '?')}' ({bench_name})")
-        rows += compare_records(previous, current, args)
+        rows += compare_records(previous, current)
     failures = 0
     for severity, message in rows:
         if severity == "FAIL":
@@ -434,8 +438,8 @@ def check_history(path, args):
     # Cross-lane gates: multi-thread throughput vs the single-thread
     # baseline, and metrics-ON throughput vs metrics-OFF, per bench name.
     for name, records in sorted(by_name.items()):
-        rows = scaling_rows(records, args) \
-            + telemetry_overhead_rows(records, args)
+        rows = scaling_rows(records) \
+            + telemetry_overhead_rows(records)
         for severity, message in rows:
             if severity == "FAIL":
                 failures += 1
@@ -469,8 +473,8 @@ def self_test(args):
         max_score_dev=1e-6,
     )
 
-    good_rows = compare_records(base, good, args)
-    degraded_rows = compare_records(base, degraded, args)
+    good_rows = compare_records(base, good)
+    degraded_rows = compare_records(base, degraded)
     good_failures = [m for s, m in good_rows if s == "FAIL"]
     degraded_failures = [m for s, m in degraded_rows if s == "FAIL"]
 
@@ -496,9 +500,9 @@ def self_test(args):
     serve_stalled = {"bench": "micro_serve", "observe_throughput_rps": 90.0,
                      "latency_us": {"observe_p50": 44000.0,
                                     "observe_p99": 88000.0}}
-    good_serve = [m for s, m in serve_budget_rows(serve_good, args)
+    good_serve = [m for s, m in serve_budget_rows(serve_good)
                   if s == "FAIL"]
-    stalled_serve = [m for s, m in serve_budget_rows(serve_stalled, args)
+    stalled_serve = [m for s, m in serve_budget_rows(serve_stalled)
                      if s == "FAIL"]
     if good_serve:
         print(f"self-test: healthy serve record flagged: {good_serve}")
@@ -516,11 +520,11 @@ def self_test(args):
                    "latency_us": {"observe_p50": 400.0,
                                   "observe_p99": 4000.0}}
     binary_slow = dict(binary_good, observe_throughput_rps=5000.0)
-    if [m for s, m in serve_budget_rows(binary_good, args) if s == "FAIL"]:
+    if [m for s, m in serve_budget_rows(binary_good) if s == "FAIL"]:
         print("self-test: healthy binary serve record flagged")
         ok = False
     if not any("observe_throughput_rps" in m for s, m in
-               serve_budget_rows(binary_slow, args) if s == "FAIL"):
+               serve_budget_rows(binary_slow) if s == "FAIL"):
         print("self-test: slow binary serve record not flagged")
         ok = False
 
@@ -533,10 +537,10 @@ def self_test(args):
     circuit_blown = {"bench": "micro_circuit", "threads": 1,
                      "stages": {"opamp_sample_us": 950.0,
                                 "adc_sample_us": 2400.0}}
-    if [m for s, m in circuit_budget_rows(circuit_noisy, args) if s == "FAIL"]:
+    if [m for s, m in circuit_budget_rows(circuit_noisy) if s == "FAIL"]:
         print("self-test: noisy-but-sane circuit record flagged")
         ok = False
-    blown = [m for s, m in circuit_budget_rows(circuit_blown, args)
+    blown = [m for s, m in circuit_budget_rows(circuit_blown)
              if s == "FAIL"]
     for metric in ("stages.opamp_sample_us", "stages.adc_sample_us"):
         if not any(metric in m for m in blown):
@@ -550,10 +554,10 @@ def self_test(args):
                    "snapshot_p50_us": 1100.0}
     fusion_broken = {"bench": "micro_fusion", "rmse_ratio": 1.37,
                      "snapshot_p50_us": 240000.0}
-    if [m for s, m in fusion_budget_rows(fusion_good, args) if s == "FAIL"]:
+    if [m for s, m in fusion_budget_rows(fusion_good) if s == "FAIL"]:
         print("self-test: healthy fusion record flagged")
         ok = False
-    broken = [m for s, m in fusion_budget_rows(fusion_broken, args)
+    broken = [m for s, m in fusion_budget_rows(fusion_broken)
               if s == "FAIL"]
     for metric in ("rmse_ratio", "snapshot_p50_us"):
         if not any(metric in m for m in broken):
@@ -570,14 +574,14 @@ def self_test(args):
                    mc_opamp_postlayout={"samples": 2000, "seconds": 0.167,
                                         "throughput_sps": 12000.0})
     mt_small_host = dict(mt_poor, label="mt-1core", host_cores=1)
-    if [m for s, m in scaling_rows([st_rec, mt_good], args) if s == "FAIL"]:
+    if [m for s, m in scaling_rows([st_rec, mt_good]) if s == "FAIL"]:
         print("self-test: efficient multi-thread record flagged")
         ok = False
-    if not [m for s, m in scaling_rows([st_rec, mt_poor], args)
+    if not [m for s, m in scaling_rows([st_rec, mt_poor])
             if s == "FAIL"]:
         print("self-test: poorly-scaling multi-thread record not flagged")
         ok = False
-    if scaling_rows([st_rec, mt_small_host], args):
+    if scaling_rows([st_rec, mt_small_host]):
         print("self-test: scaling gated on a host with fewer cores than "
               "threads")
         ok = False
@@ -621,11 +625,11 @@ def self_test(args):
             ok = False
     finally:
         os.unlink(soak_path)
-    if [m for s, m in serve_budget_rows(soak_good, args) if s == "FAIL"]:
+    if [m for s, m in serve_budget_rows(soak_good) if s == "FAIL"]:
         print("self-test: healthy bmf_soak record flagged")
         ok = False
     if not any("observe_throughput_rps" in m for s, m in serve_budget_rows(
-            dict(soak_binary, observe_throughput_rps=6000.0), args)
+            dict(soak_binary, observe_throughput_rps=6000.0))
             if s == "FAIL"):
         print("self-test: slow bmf_soak_binary record not held to the "
               "binary floor")
@@ -639,15 +643,15 @@ def self_test(args):
                     observe_throughput_rps=30500.0)
     on_taxed = dict(soak_good, telemetry=True,
                     observe_throughput_rps=27900.0)
-    if [m for s, m in telemetry_overhead_rows([off_rec, on_close], args)
+    if [m for s, m in telemetry_overhead_rows([off_rec, on_close])
             if s == "FAIL"]:
         print("self-test: cheap telemetry flagged as overhead")
         ok = False
-    if not [m for s, m in telemetry_overhead_rows([off_rec, on_taxed], args)
+    if not [m for s, m in telemetry_overhead_rows([off_rec, on_taxed])
             if s == "FAIL"]:
         print("self-test: 10% telemetry tax not flagged")
         ok = False
-    if telemetry_overhead_rows([on_close, on_taxed], args):
+    if telemetry_overhead_rows([on_close, on_taxed]):
         print("self-test: overhead rows produced without an OFF record")
         ok = False
 
@@ -659,13 +663,13 @@ def self_test(args):
     on_taxed_r1 = dict(on_taxed, git="r1")
     off_r1 = dict(off_rec, git="r1")
     if [m for s, m in telemetry_overhead_rows(
-            [off_r1, on_close_r1, on_taxed_r1], args) if s == "FAIL"]:
+            [off_r1, on_close_r1, on_taxed_r1]) if s == "FAIL"]:
         print("self-test: noisy repeat run not rescued by same-rev sibling")
         ok = False
     # ... but a fast record from an older revision must not mask a real
     # regression in the newest one.
     if not [m for s, m in telemetry_overhead_rows(
-            [off_r1, dict(on_close, git="r0"), on_taxed_r1], args)
+            [off_r1, dict(on_close, git="r0"), on_taxed_r1])
             if s == "FAIL"]:
         print("self-test: stale-revision ON record masked a telemetry tax")
         ok = False
@@ -730,55 +734,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("histories", nargs="*",
                         help="BENCH_*.json history files")
-    parser.add_argument("--max-drop-pct", type=float,
-                        default=DEFAULT_MAX_DROP_PCT,
-                        help="throughput drop %% treated as a regression")
-    parser.add_argument("--max-time-rise-pct", type=float,
-                        default=DEFAULT_MAX_RISE_PCT,
-                        help="time rise %% treated as a regression")
-    parser.add_argument("--max-parity", type=float, default=DEFAULT_MAX_PARITY,
-                        help="max tolerated max_score_dev")
-    parser.add_argument("--min-serve-rps", type=float,
-                        default=DEFAULT_MIN_SERVE_RPS,
-                        help="absolute observe-throughput floor for "
-                             "micro_serve records")
-    parser.add_argument("--max-serve-p99-ms", type=float,
-                        default=DEFAULT_MAX_SERVE_P99_MS,
-                        help="absolute observe p99 latency budget (ms) for "
-                             "micro_serve records")
-    parser.add_argument("--min-serve-binary-rps", type=float,
-                        default=DEFAULT_MIN_SERVE_BINARY_RPS,
-                        help="absolute observe-throughput floor for "
-                             "micro_serve_binary records")
-    parser.add_argument("--max-serve-binary-p99-ms", type=float,
-                        default=DEFAULT_MAX_SERVE_BINARY_P99_MS,
-                        help="absolute observe p99 latency budget (ms) for "
-                             "micro_serve_binary records")
-    parser.add_argument("--max-opamp-sample-us", type=float,
-                        default=DEFAULT_MAX_OPAMP_SAMPLE_US,
-                        help="absolute op-amp sample stage ceiling (us) for "
-                             "micro_circuit records")
-    parser.add_argument("--max-adc-sample-us", type=float,
-                        default=DEFAULT_MAX_ADC_SAMPLE_US,
-                        help="absolute flash-ADC sample stage ceiling (us) "
-                             "for micro_circuit records")
-    parser.add_argument("--max-fusion-rmse-ratio", type=float,
-                        default=DEFAULT_MAX_FUSION_RMSE_RATIO,
-                        help="absolute fused/independent held-out RMSE "
-                             "budget for micro_fusion records")
-    parser.add_argument("--max-fusion-snapshot-ms", type=float,
-                        default=DEFAULT_MAX_FUSION_SNAPSHOT_MS,
-                        help="absolute joint-snapshot p50 ceiling (ms) for "
-                             "micro_fusion records")
-    parser.add_argument("--max-telemetry-drop-pct", type=float,
-                        default=DEFAULT_MAX_TELEMETRY_DROP_PCT,
-                        help="max throughput drop %% of the newest "
-                             "metrics-ON record vs the newest metrics-OFF "
-                             "record of the same bench")
-    parser.add_argument("--min-scaling-efficiency", type=float,
-                        default=DEFAULT_MIN_SCALING_EFFICIENCY,
-                        help="parallel-efficiency floor for multi-thread "
-                             "records whose host_cores >= threads")
     parser.add_argument("--report-only", action="store_true",
                         help="print the diff but always exit 0")
     parser.add_argument("--verbose", action="store_true",

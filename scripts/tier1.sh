@@ -5,15 +5,15 @@
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
-# bugs like to hide) plus the CV grid kernel, streaming, multi-population
-# fusion and serve suites, and finally a ThreadSanitizer build covering the
-# CV grid kernel (per-row workspaces on the shared pool), the telemetry
-# shard-merge tests (per-thread shards + merge-on-read), the log sinks, the
-# full serve suite (epoll I/O threads trading connections, atomic stop
-# flags, the stop/wait handshake), the fusion suite (N per-population CV
-# grids on the shared pool), and the parallel Monte Carlo engine
-# (per-worker StatStreams, pool exception transport, a multi-thread parity
-# smoke).
+# bugs like to hide) plus the CV grid kernel, estimator API, core
+# estimator, streaming, multi-population fusion and serve suites, and
+# finally a ThreadSanitizer build covering the CV grid kernel (per-row
+# workspaces on the shared pool), the telemetry shard-merge tests
+# (per-thread shards + merge-on-read), the log sinks, the full serve suite
+# (epoll I/O threads trading connections, atomic stop flags, the stop/wait
+# handshake), the fusion suite (N per-population CV grids on the shared
+# pool), and the parallel Monte Carlo engine (per-worker StatStreams, pool
+# exception transport, a multi-thread parity smoke).
 #
 # Usage: scripts/tier1.sh [--skip-asan] [--skip-telemetry-off] [--skip-tsan]
 set -euo pipefail
@@ -50,11 +50,12 @@ fi
 if [[ "${skip_asan}" -eq 1 ]]; then
   echo "==> tier-1: ASan+UBSan stage skipped (--skip-asan)"
 else
-  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + cv kernel + streaming + fusion + serve suites"
+  echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log + cv kernel + estimator + streaming + fusion + serve suites"
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
     --target test_fault_injection test_telemetry test_log test_cv_kernel \
-    test_streaming test_fusion test_serve
+    test_estimator_api test_core_estimators test_streaming test_fusion \
+    test_serve
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -65,8 +66,16 @@ else
   # triangular solves, and the hand-off to the jitter/LDLT fallback chain.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_cv_kernel
-  # Streaming estimators: shard merges, the whole-batch observe screen and
-  # the snapshot memo's copy, clear and exception paths.
+  # The estimator contract: batch estimates run as one-batch streams
+  # (local fold streams, row buffers reused across the batch) into the
+  # same do_snapshot core as the streaming path.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_estimator_api
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_core_estimators
+  # Streaming estimators: shard merges, the whole-batch observe screen,
+  # StatStream's in-place carries and reused block buffers, and the
+  # snapshot memo's copy, clear and exception paths.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_streaming
   # Multi-population fusion: the contained-failure path (a corrupted

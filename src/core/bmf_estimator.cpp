@@ -43,7 +43,8 @@ ShiftScale BmfEstimator::late_transform(const Vector& late_nominal) const {
 const StageTransforms& BmfEstimator::transforms_for(
     const Vector& late_nominal) const {
   BMFUSION_REQUIRE(late_nominal.size() == early_.moments.dimension(),
-                   "bmf shift/scale needs a late-stage nominal point");
+                   "bmf shift/scale needs a late-stage nominal point "
+                   "(estimate(samples, nominal) or set_nominal)");
   if (!transform_cache_.has_value() ||
       !(transform_cache_nominal_ == late_nominal)) {
     transform_cache_ =
@@ -55,22 +56,20 @@ const StageTransforms& BmfEstimator::transforms_for(
 
 void BmfEstimator::on_nominal_changed() { transform_cache_.reset(); }
 
-void BmfEstimator::stream_transform(const Vector& sample, Vector& out) const {
+void BmfEstimator::stream_transform(const Vector& sample,
+                                    const Vector& late_nominal,
+                                    Vector& out) const {
   if (!config_.apply_shift_scale) {
     out = sample;
     return;
   }
-  BMFUSION_REQUIRE(nominal().size() != 0,
-                   "bmf streaming needs set_nominal before observe");
-  transforms_for(nominal()).late.apply_into(sample, out);
+  transforms_for(late_nominal).late.apply_into(sample, out);
 }
 
 SufficientStats BmfEstimator::stream_transform_stats(
-    const SufficientStats& stats) const {
+    const SufficientStats& stats, const Vector& late_nominal) const {
   if (!config_.apply_shift_scale) return stats;
-  BMFUSION_REQUIRE(nominal().size() != 0,
-                   "bmf streaming needs set_nominal before absorb");
-  return transforms_for(nominal()).late.apply(stats);
+  return transforms_for(late_nominal).late.apply(stats);
 }
 
 GaussianMoments BmfEstimator::fuse_at(const GaussianMoments& early_scaled,
@@ -85,27 +84,6 @@ GaussianMoments BmfEstimator::fuse_at(const GaussianMoments& early_scaled,
                                       double kappa0, double nu0) {
   early_scaled.validate();
   return map_fuse(early_scaled, late_stats, kappa0, nu0);
-}
-
-BmfResult BmfEstimator::estimate_scaled(const GaussianMoments& early_scaled,
-                                        const Matrix& late_scaled,
-                                        const CrossValidationConfig& cv) {
-  CrossValidationResult selected;
-  try {
-    selected = select_hyperparameters(early_scaled, late_scaled, cv);
-  } catch (const NumericError& e) {
-    rethrow_selection_failure(e, early_scaled.dimension(),
-                              late_scaled.rows());
-  }
-  BmfResult result;
-  result.kappa0 = selected.kappa0;
-  result.nu0 = selected.nu0;
-  result.score = selected.score;
-  result.cv_grid = selected.grid();
-  result.scaled_moments =
-      fuse_at(early_scaled, late_scaled, selected.kappa0, selected.nu0);
-  result.moments = result.scaled_moments;  // identical when no transform
-  return result;
 }
 
 BmfResult BmfEstimator::estimate_scaled(
@@ -150,54 +128,12 @@ BmfResult BmfEstimator::estimate_scaled(
   return result;
 }
 
-BmfResult BmfEstimator::do_estimate(const Matrix& late_samples,
-                                    const Vector& late_nominal) const {
-  BMFUSION_REQUIRE(late_samples.cols() == early_.moments.dimension(),
-                   "late samples must match the early-stage dimension");
-  BMFUSION_REQUIRE(late_samples.rows() >= 2,
-                   "bmf estimation needs >= 2 late-stage samples");
-
-  if (!config_.apply_shift_scale) {
-    BmfResult result =
-        estimate_scaled(early_.moments, late_samples, config_.cv);
-    return result;
-  }
-
-  const StageTransforms& transforms = transforms_for(late_nominal);
-  const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
-  const Matrix late_scaled = transforms.late.apply(late_samples);
-
-  BmfResult result = estimate_scaled(early_scaled, late_scaled, config_.cv);
-  result.moments = transforms.late.invert(result.scaled_moments);
-  return result;
-}
-
-BmfResult BmfEstimator::do_estimate_stats(const SufficientStats& late_stats,
-                                          const Vector& late_nominal) const {
-  BMFUSION_REQUIRE(late_stats.dimension() == early_.moments.dimension(),
-                   "late statistics must match the early-stage dimension");
-
-  if (!config_.apply_shift_scale) {
-    return estimate_scaled(early_.moments, {late_stats}, config_.cv,
-                           HyperSelection::kEvidence);
-  }
-  const StageTransforms& transforms = transforms_for(late_nominal);
-  const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
-  // A single pre-summarized batch cannot be folded, so selection is by
-  // evidence regardless of config().selection.
-  BmfResult result =
-      estimate_scaled(early_scaled, {transforms.late.apply(late_stats)},
-                      config_.cv, HyperSelection::kEvidence);
-  result.moments = transforms.late.invert(result.scaled_moments);
-  return result;
-}
-
 BmfResult BmfEstimator::do_snapshot(
     const std::vector<SufficientStats>& fold_totals,
     const Vector& late_nominal) const {
   // Fold totals arrive already normalized (stream_transform applied on
-  // entry), so selection + fusion run in the same scaled space — and
-  // through the same core — as the batch path.
+  // entry, by observe or by a batch estimate alike), so selection + fusion
+  // run in the scaled space.
   if (!config_.apply_shift_scale) {
     return estimate_scaled(early_.moments, fold_totals, config_.cv,
                            config_.selection);

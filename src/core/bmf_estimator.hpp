@@ -31,10 +31,10 @@ struct BmfConfig {
   /// When false the samples are fused in raw units (no Section 4.1
   /// normalization) — exposed for the shift/scale ablation bench.
   bool apply_shift_scale = true;
-  /// Hyper-parameter selection strategy. kCrossValidation is the paper's
-  /// Q-fold search; estimation paths that cannot fold their data (a single
-  /// pre-summarized SufficientStats, or a stream with fewer than two
-  /// non-empty folds) downgrade to kEvidence automatically.
+  /// Hyper-parameter selection strategy, honored by batch and stream alike.
+  /// kCrossValidation is the paper's Q-fold search; data that cannot be
+  /// folded (a stream or batch with fewer than two non-empty folds, e.g. a
+  /// single absorbed summary) downgrades to kEvidence automatically.
   HyperSelection selection = HyperSelection::kCrossValidation;
 
   BmfConfig& with_cv(CrossValidationConfig config) {
@@ -63,12 +63,13 @@ using BmfResult = EstimateResult;
 /// Algorithm 1 end to end. When shift/scale is enabled a non-empty
 /// late-stage nominal is required (ContractError otherwise).
 ///
-/// Streaming: call set_nominal(late_nominal) once, then observe()/absorb()
-/// as measurements arrive. Samples are normalized on entry (Section 4.1)
-/// and accumulated into config().cv.folds fold streams with the same
-/// round-robin split as the batch CV engine, so snapshot() runs the
-/// identical hyper-parameter search from fold statistics alone; when the
-/// stream cannot sustain a fold split (single absorbed summary, < 2
+/// Batch and stream share one core: samples are normalized on entry
+/// (Section 4.1, stream_transform) and dealt round-robin into
+/// config().cv.folds fold streams; do_snapshot then selects the
+/// hyper-parameters from those fold statistics alone and fuses. A batch
+/// estimate() is such a stream of one batch, so it is bitwise equal to
+/// set_nominal(late_nominal), observe(late_samples), snapshot(). When the
+/// data cannot sustain a fold split (single absorbed summary, < 2
 /// non-empty folds) selection downgrades to the closed-form evidence.
 class BmfEstimator final : public MomentEstimator {
  public:
@@ -76,17 +77,10 @@ class BmfEstimator final : public MomentEstimator {
 
   [[nodiscard]] std::string_view name() const override { return "bmf"; }
 
-  /// Scaled-space core used by estimate() and by the experiment harness
-  /// (which evaluates errors in scaled space): selects hyper-parameters and
-  /// fuses, all inputs/outputs in the normalized space.
-  [[nodiscard]] static BmfResult estimate_scaled(
-      const GaussianMoments& early_scaled,
-      const linalg::Matrix& late_scaled, const CrossValidationConfig& cv);
-
-  /// The same core fed from per-fold sufficient statistics in the scaled
-  /// space — the one selection + fusion + fallback path every entry style
-  /// (batch, stats-only, streaming snapshot) converges on. `selection`
-  /// downgrades to evidence when fewer than two folds are non-empty.
+  /// Scaled-space core of every entry style: selects hyper-parameters from
+  /// per-fold sufficient statistics and fuses, all inputs/outputs in the
+  /// normalized space. `selection` downgrades to evidence when fewer than
+  /// two folds are non-empty.
   [[nodiscard]] static BmfResult estimate_scaled(
       const GaussianMoments& early_scaled,
       const std::vector<SufficientStats>& fold_stats,
@@ -112,12 +106,6 @@ class BmfEstimator final : public MomentEstimator {
       const linalg::Vector& late_nominal) const;
 
  protected:
-  [[nodiscard]] BmfResult do_estimate(
-      const linalg::Matrix& late_samples,
-      const linalg::Vector& late_nominal) const override;
-  [[nodiscard]] BmfResult do_estimate_stats(
-      const SufficientStats& late_stats,
-      const linalg::Vector& late_nominal) const override;
   [[nodiscard]] BmfResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,
       const linalg::Vector& late_nominal) const override;
@@ -125,15 +113,17 @@ class BmfEstimator final : public MomentEstimator {
     return config_.cv.folds;
   }
   void stream_transform(const linalg::Vector& sample,
+                        const linalg::Vector& late_nominal,
                         linalg::Vector& out) const override;
   [[nodiscard]] SufficientStats stream_transform_stats(
-      const SufficientStats& stats) const override;
+      const SufficientStats& stats,
+      const linalg::Vector& late_nominal) const override;
   void on_nominal_changed() override;
 
  private:
-  /// Stage transforms for `late_nominal`, cached across the streaming hot
-  /// path (set_nominal invalidates). Throws ContractError when shift/scale
-  /// is enabled and no nominal is available.
+  /// Stage transforms for `late_nominal`, cached across rows and calls
+  /// (set_nominal invalidates; a different nominal recomputes). Throws
+  /// ContractError when shift/scale is enabled and no nominal is available.
   [[nodiscard]] const StageTransforms& transforms_for(
       const linalg::Vector& late_nominal) const;
 

@@ -101,6 +101,20 @@ void require_finite_stats(const SufficientStats& stats,
   }
 }
 
+/// One SufficientStats per fold stream, empty folds dimension-matched with
+/// count 0: the do_snapshot input, built the same way for a stream and a
+/// batch.
+std::vector<SufficientStats> fold_totals(
+    const std::vector<stats::StatStream>& streams) {
+  const std::size_t dim = streams.front().dimension();
+  std::vector<SufficientStats> totals;
+  totals.reserve(streams.size());
+  for (const stats::StatStream& stream : streams) {
+    totals.push_back(stream.empty() ? SufficientStats(dim) : stream.totals());
+  }
+  return totals;
+}
+
 }  // namespace
 
 // --- Batch -----------------------------------------------------------------
@@ -119,30 +133,15 @@ EstimateResult MomentEstimator::estimate(const linalg::Matrix& samples) const {
   return estimate(samples, linalg::Vector());
 }
 
-// --- Stats-only -------------------------------------------------------------
-
-EstimateResult MomentEstimator::estimate(const SufficientStats& stats,
-                                         const linalg::Vector& nominal) const {
-  BMFUSION_REQUIRE(stats.count() >= 1 && stats.dimension() >= 1,
-                   "moment estimation needs non-empty sufficient statistics");
-  BMFUSION_REQUIRE(nominal.size() == 0 || nominal.size() == stats.dimension(),
-                   "nominal must be empty or match the stats dimension");
-  require_finite_stats(stats, name());
-  require_finite_inputs(linalg::Matrix(), nominal, name());
-  return do_estimate_stats(stats, nominal);
-}
-
-EstimateResult MomentEstimator::estimate(const SufficientStats& stats) const {
-  return estimate(stats, linalg::Vector());
-}
-
-EstimateResult MomentEstimator::do_estimate_stats(
-    const SufficientStats& stats, const linalg::Vector& nominal) const {
-  (void)stats;
-  (void)nominal;
-  throw ContractError(std::string("estimator '") + std::string(name()) +
-                      "' does not support estimation from sufficient "
-                      "statistics");
+EstimateResult MomentEstimator::do_estimate(
+    const linalg::Matrix& samples, const linalg::Vector& nominal) const {
+  const std::size_t folds = stream_folds();
+  BMFUSION_REQUIRE(folds == 1 || samples.rows() >= 2,
+                   "a cross-validating estimator needs >= 2 samples");
+  std::vector<stats::StatStream> streams(folds,
+                                         stats::StatStream(samples.cols()));
+  deal_rows(samples, nominal, streams, 0);
+  return do_snapshot(fold_totals(streams), nominal);
 }
 
 // --- Streaming ---------------------------------------------------------------
@@ -172,20 +171,29 @@ void MomentEstimator::ensure_streams(std::size_t dimension) {
                    "observed sample dimension must match the stream");
 }
 
-void MomentEstimator::observe_row(const linalg::Vector& sample,
-                                  linalg::Vector& mapped) {
-  ensure_streams(sample.size());
-  stream_transform(sample, mapped);
-  streams_[observed_ % streams_.size()].add(mapped);
-  ++observed_;
+void MomentEstimator::deal_rows(const linalg::Matrix& samples,
+                                const linalg::Vector& nominal,
+                                std::vector<stats::StatStream>& streams,
+                                std::size_t first) const {
+  const std::size_t dim = samples.cols();
+  linalg::Vector row(dim);
+  linalg::Vector mapped;
+  for (std::size_t i = 0; i < samples.rows(); ++i) {
+    std::copy_n(samples.row_data(i), dim, row.data());
+    stream_transform(row, nominal, mapped);
+    streams[(first + i) % streams.size()].add(mapped);
+  }
 }
 
 void MomentEstimator::observe(const linalg::Vector& sample) {
   forget_snapshot();
   BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
   require_finite_sample(sample, name());
+  ensure_streams(sample.size());
   linalg::Vector mapped;
-  observe_row(sample, mapped);
+  stream_transform(sample, nominal_, mapped);
+  streams_[observed_ % streams_.size()].add(mapped);
+  ++observed_;
   BMF_COUNTER_ADD("core.stream.observed_samples", 1);
 }
 
@@ -196,15 +204,10 @@ void MomentEstimator::observe(const linalg::Matrix& samples) {
   // Screen the whole batch before the first row lands: a non-finite cell in
   // row k rejects the batch whole instead of leaving rows 0..k-1 committed.
   require_finite_inputs(samples, linalg::Vector(), name());
-  // Rows go through two buffers reused across the batch, so the batch
-  // allocates a fixed amount however many rows it carries.
-  const std::size_t dim = samples.cols();
-  linalg::Vector row(dim);
-  linalg::Vector mapped;
-  for (std::size_t i = 0; i < samples.rows(); ++i) {
-    std::copy_n(samples.row_data(i), dim, row.data());
-    observe_row(row, mapped);
-  }
+  if (samples.rows() == 0) return;
+  ensure_streams(samples.cols());
+  deal_rows(samples, nominal_, streams_, observed_);
+  observed_ += samples.rows();
   // One counter update per batch, not per row: the serve observe hot path
   // pushes 10k+ batches/s, where per-row updates are measurable.
   BMF_COUNTER_ADD("core.stream.observed_samples", samples.rows());
@@ -218,7 +221,7 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
   require_finite_stats(stats, name());
   ensure_streams(stats.dimension());
   streams_[absorb_cursor_ % streams_.size()].absorb(
-      stream_transform_stats(stats));
+      stream_transform_stats(stats, nominal_));
   ++absorb_cursor_;
   observed_ += stats.count();
   BMF_COUNTER_ADD("core.stream.absorbed_samples", stats.count());
@@ -302,16 +305,10 @@ EstimateResult MomentEstimator::snapshot() const {
     if (snapshot_error_) std::rethrow_exception(snapshot_error_);
     return *snapshot_memo_;
   }
-  const std::size_t dim = streams_.front().dimension();
-  std::vector<SufficientStats> fold_totals;
-  fold_totals.reserve(streams_.size());
-  for (const stats::StatStream& stream : streams_) {
-    fold_totals.push_back(stream.empty() ? SufficientStats(dim)
-                                         : stream.totals());
-  }
+  const std::vector<SufficientStats> totals = fold_totals(streams_);
   BMF_SPAN("estimator_snapshot");
   try {
-    snapshot_memo_ = do_snapshot(fold_totals, nominal_);
+    snapshot_memo_ = do_snapshot(totals, nominal_);
   } catch (const std::bad_alloc&) {
     throw;
   } catch (...) {
@@ -356,12 +353,15 @@ EstimateResult MomentEstimator::do_snapshot(
 }
 
 void MomentEstimator::stream_transform(const linalg::Vector& sample,
+                                       const linalg::Vector& nominal,
                                        linalg::Vector& out) const {
+  (void)nominal;
   out = sample;
 }
 
 SufficientStats MomentEstimator::stream_transform_stats(
-    const SufficientStats& stats) const {
+    const SufficientStats& stats, const linalg::Vector& nominal) const {
+  (void)nominal;
   return stats;
 }
 
@@ -372,15 +372,6 @@ EstimateResult MleEstimator::do_estimate(const linalg::Matrix& samples,
   (void)nominal;  // the MLE neither shifts nor scales
   EstimateResult result;
   result.moments = estimate_mle(samples);
-  result.scaled_moments = result.moments;
-  return result;
-}
-
-EstimateResult MleEstimator::do_estimate_stats(
-    const SufficientStats& stats, const linalg::Vector& nominal) const {
-  (void)nominal;
-  EstimateResult result;
-  result.moments = estimate_mle(stats);
   result.scaled_moments = result.moments;
   return result;
 }
@@ -402,7 +393,11 @@ EstimateResult MleEstimator::do_snapshot(
     }
   }
   BMFUSION_REQUIRE(have, "mle snapshot needs >= 1 observed sample");
-  return do_estimate_stats(totals, nominal);
+  (void)nominal;  // the MLE neither shifts nor scales
+  EstimateResult result;
+  result.moments = estimate_mle(totals);
+  result.scaled_moments = result.moments;
+  return result;
 }
 
 }  // namespace bmfusion::core

@@ -1,4 +1,4 @@
-// Unified moment-estimator interface: batch, stats-only and streaming.
+// Unified moment-estimator interface: batch and streaming, one core.
 //
 // Every estimation strategy in the library — the paper's MLE baseline
 // (eqs. 10-11), the headline Bayesian model fusion of Algorithm 1, and the
@@ -7,13 +7,15 @@
 // are the first two moments? MomentEstimator captures exactly that contract
 // so experiments, benches and examples can treat strategies polymorphically.
 //
-// The interface has three entry styles that converge on one estimation core
-// per strategy:
+// The interface has two entry styles that converge on one estimation core
+// per strategy, do_snapshot(fold_totals, nominal):
 //
 //   * batch:      estimate(samples[, nominal]) — one matrix, one answer.
-//   * stats-only: estimate(SufficientStats[, nominal]) — the caller already
-//     summarized its samples (Monte Carlo driver, CV engine, serve layer);
-//     no matrix is ever materialized.
+//     By default the batch runs as a stream of one batch: rows are mapped
+//     by stream_transform and dealt round-robin into local fold streams,
+//     so estimate(X, nom) is bitwise equal to set_nominal(nom), observe(X),
+//     snapshot() on a fresh estimator. (MleEstimator keeps its two-pass
+//     centered fit for batches; a one-pass fit on raw metrics loses digits.)
 //   * streaming:  set_nominal() once, observe()/absorb()/merge() as data
 //     arrives, snapshot() whenever an estimate is wanted. State lives in
 //     per-fold StatStreams whose deterministic pairwise reduction makes
@@ -92,16 +94,6 @@ class MomentEstimator {
   /// nominal vector. Estimators that require one throw ContractError.
   [[nodiscard]] EstimateResult estimate(const linalg::Matrix& samples) const;
 
-  // --- Stats-only --------------------------------------------------------
-
-  /// Estimates from prebuilt raw-space sufficient statistics (no sample
-  /// matrix reconversion). Hyper-parameter-selecting strategies cannot fold
-  /// a single summary, so they select by model evidence here. Throws
-  /// ContractError from strategies that genuinely need raw samples.
-  [[nodiscard]] EstimateResult estimate(const SufficientStats& stats,
-                                        const linalg::Vector& nominal) const;
-  [[nodiscard]] EstimateResult estimate(const SufficientStats& stats) const;
-
   // --- Streaming ---------------------------------------------------------
 
   /// Fixes the late-stage nominal point the stream is relative to. Must be
@@ -113,7 +105,7 @@ class MomentEstimator {
 
   /// Folds one raw-space sample (or every row of a batch) into the stream.
   /// Samples are assigned round-robin to stream_folds() fold accumulators —
-  /// the same i % folds split the batch CV engine uses — so snapshot() can
+  /// the same i % folds split a batch estimate() uses — so snapshot() can
   /// cross-validate. O(d^2) per sample; non-finite cells throw DataError.
   void observe(const linalg::Vector& sample);
   void observe(const linalg::Matrix& samples);
@@ -161,16 +153,15 @@ class MomentEstimator {
   }
 
  protected:
-  /// Batch strategy hook; `samples` is non-empty and `nominal` is either
-  /// empty or dimension-matched when this is called.
+  /// Batch strategy hook; `samples` is non-empty and finite, `nominal`
+  /// either empty or dimension-matched when this is called. Default: the
+  /// batch as a stream of one batch — rows mapped by stream_transform,
+  /// dealt round-robin over stream_folds() local fold streams and handed
+  /// to do_snapshot, so estimate() equals observe() + snapshot() bit for
+  /// bit. A strategy that cross-validates (stream_folds() >= 2) needs >= 2
+  /// rows (ContractError).
   [[nodiscard]] virtual EstimateResult do_estimate(
-      const linalg::Matrix& samples, const linalg::Vector& nominal) const = 0;
-
-  /// Stats-only strategy hook; `stats` is finite and non-empty, `nominal`
-  /// empty or dimension-matched. Default: ContractError ("does not support
-  /// estimation from sufficient statistics").
-  [[nodiscard]] virtual EstimateResult do_estimate_stats(
-      const SufficientStats& stats, const linalg::Vector& nominal) const;
+      const linalg::Matrix& samples, const linalg::Vector& nominal) const;
 
   /// Snapshot strategy hook: one SufficientStats per fold (empty folds are
   /// dimension-matched with count 0), in this estimator's *stream space*
@@ -186,30 +177,35 @@ class MomentEstimator {
   [[nodiscard]] virtual std::size_t stream_folds() const { return 1; }
 
   /// Maps a raw-space sample into the space the stream accumulates in,
-  /// writing it into `out` (resized, capacity reused: the observe path
-  /// keeps one buffer per batch). Default: identity. BMF normalizes here so
-  /// fold statistics are accumulated from O(1)-centered values instead of
-  /// being algebraically re-centered at snapshot time (which would cancel
-  /// catastrophically for metrics whose nominal dwarfs their spread).
+  /// relative to `nominal` (the stream's or the batch's), writing it into
+  /// `out` (resized, capacity reused: a batch keeps one buffer). Default:
+  /// identity. BMF normalizes here so fold statistics are accumulated from
+  /// O(1)-centered values instead of being algebraically re-centered at
+  /// snapshot time (which would cancel catastrophically for metrics whose
+  /// nominal dwarfs their spread).
   virtual void stream_transform(const linalg::Vector& sample,
+                                const linalg::Vector& nominal,
                                 linalg::Vector& out) const;
 
   /// Same map for pre-summarized statistics (absorb path). Default:
   /// identity. Transforming a summary is exact only in real arithmetic —
   /// see ShiftScale::apply(SufficientStats).
   [[nodiscard]] virtual SufficientStats stream_transform_stats(
-      const SufficientStats& stats) const;
+      const SufficientStats& stats, const linalg::Vector& nominal) const;
 
   /// Notification that set_nominal changed the nominal point (caches of
   /// nominal-derived transforms invalidate here). Default: no-op.
   virtual void on_nominal_changed() {}
 
  private:
-  /// Shared body of the two observe overloads, minus the finite-input
-  /// screen and the sample counter: the batch overload screens the whole
-  /// batch up front and counts once per batch, not per row. `mapped` is the
-  /// caller's stream_transform buffer.
-  void observe_row(const linalg::Vector& sample, linalg::Vector& mapped);
+  /// Maps every row of `samples` with stream_transform and deals row i to
+  /// streams[(first + i) % streams.size()]: the one row loop behind
+  /// observe(Matrix) and the default batch path. Two buffers are reused
+  /// across the rows, so a batch allocates a fixed amount however many
+  /// rows it carries (beyond the streams' own block bookkeeping).
+  void deal_rows(const linalg::Matrix& samples, const linalg::Vector& nominal,
+                 std::vector<stats::StatStream>& streams,
+                 std::size_t first) const;
 
   /// Sizes the fold accumulators on first use and pins the dimension.
   void ensure_streams(std::size_t dimension);
@@ -230,7 +226,8 @@ class MomentEstimator {
 /// The paper's baseline (eqs. 10-11) behind the unified interface. Ignores
 /// the nominal point; works from a single sample (the covariance of fewer
 /// samples than dimensions is rank deficient, as in the paper's baseline).
-/// Streams raw samples into a single fold.
+/// Streams raw samples into a single fold; batches keep the two-pass
+/// centered fit, which a one-pass fit on raw metrics cannot match.
 class MleEstimator final : public MomentEstimator {
  public:
   [[nodiscard]] std::string_view name() const override { return "mle"; }
@@ -238,9 +235,6 @@ class MleEstimator final : public MomentEstimator {
  protected:
   [[nodiscard]] EstimateResult do_estimate(
       const linalg::Matrix& samples,
-      const linalg::Vector& nominal) const override;
-  [[nodiscard]] EstimateResult do_estimate_stats(
-      const SufficientStats& stats,
       const linalg::Vector& nominal) const override;
   [[nodiscard]] EstimateResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,

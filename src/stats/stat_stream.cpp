@@ -28,8 +28,15 @@ void StatStream::add(const linalg::Vector& sample) {
   ++partial_count_;
   ++count_;
   if (partial_count_ == kBlockSamples) {
-    push_regular(std::move(partial_), 1);
-    partial_ = SufficientStats(dimension_);
+    // A carry hands back the buffers it retired; they become the next open
+    // block, so only a fill that does not carry allocates.
+    SufficientStats retired = push_regular(std::move(partial_), 1);
+    if (retired.dimension() == dimension_) {
+      retired.clear();
+      partial_ = std::move(retired);
+    } else {
+      partial_ = SufficientStats(dimension_);
+    }
     partial_count_ = 0;
   }
 }
@@ -119,16 +126,22 @@ StatStream StatStream::from_parts(std::size_t dimension,
   return stream;
 }
 
-void StatStream::push_regular(SufficientStats stats, std::uint64_t blocks) {
+SufficientStats StatStream::push_regular(SufficientStats stats,
+                                         std::uint64_t blocks) {
   // Binary-counter carry: equal-width neighbours collapse (earlier run on
   // the left of the add), doubling the width, until the widths differ.
   // Irregular runs (blocks == 0) never match, so they fence the carries.
-  while (!runs_.empty() && runs_.back().blocks == blocks) {
-    stats = runs_.back().stats + stats;
-    blocks *= 2;
+  runs_.push_back(Run{std::move(stats), blocks});
+  SufficientStats retired;
+  while (runs_.size() >= 2 &&
+         runs_[runs_.size() - 2].blocks == runs_.back().blocks) {
+    Run& earlier = runs_[runs_.size() - 2];
+    earlier.stats += runs_.back().stats;
+    earlier.blocks *= 2;
+    retired = std::move(runs_.back().stats);
     runs_.pop_back();
   }
-  runs_.push_back(Run{std::move(stats), blocks});
+  return retired;
 }
 
 void StatStream::close_partial() {

@@ -113,7 +113,9 @@ class StatStream {
 
   /// Pushes a completed run of `blocks` blocks (power of two), carrying
   /// while the newest run has the same width — the binary-counter step.
-  void push_regular(SufficientStats stats, std::uint64_t blocks);
+  /// Carries add in place; returns the buffers the last carry retired
+  /// (dimension 0 when nothing carried) so add() can reuse them.
+  SufficientStats push_regular(SufficientStats stats, std::uint64_t blocks);
 
   /// Closes the open partial block (if any) as an irregular run.
   void close_partial();

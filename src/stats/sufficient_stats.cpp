@@ -63,6 +63,12 @@ void SufficientStats::add(const linalg::Vector& sample) {
   }
 }
 
+void SufficientStats::clear() {
+  count_ = 0;
+  sum_.assign_zero(sum_.size());
+  sum_outer_.assign_zero(sum_outer_.rows(), sum_outer_.cols());
+}
+
 SufficientStats& SufficientStats::operator+=(const SufficientStats& other) {
   BMFUSION_REQUIRE(other.dimension() == dimension(),
                    "sufficient stats dimension mismatch");

@@ -41,6 +41,9 @@ class SufficientStats {
   /// Folds one sample in; size must match dimension().
   void add(const linalg::Vector& sample);
 
+  /// Empties the set, keeping the dimension and the buffers (no allocation).
+  void clear();
+
   /// Set union / set difference of the underlying sample sets. Subtraction
   /// requires `other` to be a subset (count() >= other.count()).
   SufficientStats& operator+=(const SufficientStats& other);

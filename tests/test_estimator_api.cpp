@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -17,7 +19,9 @@
 #include "core/mle.hpp"
 #include "core/moments.hpp"
 #include "core/normal_wishart.hpp"
+#include "core/shift_scale.hpp"
 #include "core/univariate_bmf.hpp"
+#include "estimate_bits.hpp"
 #include "stats/moments.hpp"
 #include "stats/mvn.hpp"
 #include "stats/rng.hpp"
@@ -336,20 +340,93 @@ TEST(MomentEstimatorApi, MleAdapterMatchesFreeFunction) {
   EXPECT_EQ(mle.name(), "mle");
 }
 
+/// Rows dealt round-robin over `folds` sufficient statistics: what a batch's
+/// fold streams hold while every fold is under one 64-sample block.
+std::vector<SufficientStats> round_robin_folds(const Matrix& rows,
+                                               std::size_t folds) {
+  std::vector<SufficientStats> out(folds, SufficientStats(rows.cols()));
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    out[i % folds].add(rows.row(i));
+  }
+  return out;
+}
+
 TEST(MomentEstimatorApi, BmfAdapterMatchesEstimateScaled) {
   const GaussianMoments truth = toy_moments();
   const Matrix late = draws(truth, 14, 13);
   const BmfEstimator bmf(EarlyStageKnowledge{truth, truth.mean},
                          BmfConfig{}.with_shift_scale(false));
   const EstimateResult via_api = bmf.estimate(late);
-  const BmfResult direct =
-      BmfEstimator::estimate_scaled(truth, late, CrossValidationConfig{});
-  EXPECT_DOUBLE_EQ(via_api.kappa0, direct.kappa0);
-  EXPECT_DOUBLE_EQ(via_api.nu0, direct.nu0);
-  EXPECT_DOUBLE_EQ(via_api.score, direct.score);
-  EXPECT_TRUE(approx_equal(via_api.moments.mean, direct.moments.mean,
-                           1e-15));
+  const CrossValidationConfig cv;
+  const BmfResult direct = BmfEstimator::estimate_scaled(
+      truth, round_robin_folds(late, cv.folds), cv);
+  expect_bitwise_equal(via_api, direct);
   EXPECT_EQ(bmf.name(), "bmf");
+}
+
+/// estimate(samples, nominal) against set_nominal(nominal), observe(samples),
+/// snapshot() on a fresh estimator: the same bits, grid included.
+void expect_batch_equals_stream(
+    const std::function<std::unique_ptr<MomentEstimator>()>& make,
+    const Matrix& samples, const Vector& nominal) {
+  const EstimateResult batch = make()->estimate(samples, nominal);
+  const std::unique_ptr<MomentEstimator> stream = make();
+  if (nominal.size() != 0) stream->set_nominal(nominal);
+  stream->observe(samples);
+  expect_bitwise_equal(batch, stream->snapshot());
+}
+
+TEST(MomentEstimatorApi, BatchEstimateIsBitwiseAOneBatchStream) {
+  const GaussianMoments truth = toy_moments(3);
+  Vector late_nominal = truth.mean;
+  late_nominal[0] += 0.25;  // a real shift between the stages
+  // n = 300 puts 75 rows in each of the 4 folds: more than one 64-sample
+  // block, so the fold streams' pairwise reduction is exercised.
+  for (const std::size_t n : {2, 5, 14, 300}) {
+    const Matrix late = draws(truth, n, 40 + n);
+    for (const bool shift_scale : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n = " << n << ", shift/scale " << shift_scale);
+      expect_batch_equals_stream(
+          [&] {
+            return std::make_unique<BmfEstimator>(
+                EarlyStageKnowledge{truth, truth.mean},
+                BmfConfig{}.with_shift_scale(shift_scale));
+          },
+          late, shift_scale ? late_nominal : Vector());
+    }
+    SCOPED_TRACE(::testing::Message() << "univariate-bmf, n = " << n);
+    expect_batch_equals_stream(
+        [&] { return std::make_unique<UnivariateBmfEstimator>(truth); },
+        late, Vector());
+  }
+}
+
+TEST(MomentEstimatorApi, BatchHonorsEvidenceSelection) {
+  const GaussianMoments truth = toy_moments(3);
+  const EarlyStageKnowledge early{truth, truth.mean};
+  Vector late_nominal = truth.mean;
+  late_nominal[1] -= 0.2;
+  const Matrix late = draws(truth, 20, 23);
+  const BmfConfig config =
+      BmfConfig{}.with_selection(HyperSelection::kEvidence);
+  const EstimateResult batch =
+      BmfEstimator(early, config).estimate(late, late_nominal);
+
+  // The closed-form evidence on the batch's scaled totals: rows
+  // normalized, dealt over the folds, folds summed in order.
+  const StageTransforms transforms =
+      make_stage_transforms(early.nominal, late_nominal, early.moments);
+  SufficientStats totals(truth.dimension());
+  for (const SufficientStats& fold : round_robin_folds(
+           transforms.late.apply(late), config.cv.folds)) {
+    totals += fold;
+  }
+  const CrossValidationResult evidence = select_hyperparameters_evidence(
+      transforms.early.apply(early.moments), totals, config.cv);
+  EXPECT_EQ(batch.kappa0, evidence.kappa0);
+  EXPECT_EQ(batch.nu0, evidence.nu0);
+  EXPECT_EQ(batch.score, evidence.score);
 }
 
 TEST(MomentEstimatorApi, ShiftScaleRequiresNominal) {

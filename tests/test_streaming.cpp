@@ -504,27 +504,31 @@ TEST_F(StreamingParity, ExportAbsorbRoundTripMatches) {
 // ----------------------------------------------- streaming API contracts
 
 TEST_F(StreamingParity, EstimatorsAcceptPrebuiltStats) {
-  // O(1)-conditioned samples: stats-only and batch answers coincide.
+  // O(1)-conditioned samples: an absorbed summary and the batch fit agree.
   const Matrix well_scaled = synthetic_samples(500, 3, 59);
   MleEstimator mle;
-  const EstimateResult from_stats =
-      mle.estimate(SufficientStats::from_samples(well_scaled));
-  const EstimateResult from_samples = mle.estimate(well_scaled);
-  EXPECT_LE(relative_gap(from_stats, from_samples), 1e-12);
+  mle.absorb(SufficientStats::from_samples(well_scaled));
+  EXPECT_LE(relative_gap(mle.snapshot(), mle.estimate(well_scaled)), 1e-12);
 
+  // A single absorbed summary cannot be folded, so snapshot() selects by
+  // the closed-form evidence of the scaled summary.
   const SufficientStats stats =
       SufficientStats::from_samples(late_->samples());
-  BmfEstimator bmf = make_bmf();
-  const EstimateResult bmf_stats = bmf.estimate(stats, *late_nominal_);
-  EXPECT_TRUE(std::isfinite(bmf_stats.kappa0));  // evidence-selected
-  EXPECT_TRUE(std::isfinite(bmf_stats.moments.mean[0]));
-
-  // absorb() of the same single summary downgrades snapshot() to the same
-  // evidence-selected path: identical answer.
   BmfEstimator streaming = make_bmf();
   streaming.set_nominal(*late_nominal_);
   streaming.absorb(stats);
-  EXPECT_LE(relative_gap(streaming.snapshot(), bmf_stats), 1e-12);
+  const EstimateResult absorbed = streaming.snapshot();
+  const core::GaussianMoments& early = streaming.early().moments;
+  const core::StageTransforms transforms =
+      core::make_stage_transforms(*early_nominal_, *late_nominal_, early);
+  const core::CrossValidationResult evidence =
+      core::select_hyperparameters_evidence(transforms.early.apply(early),
+                                            transforms.late.apply(stats),
+                                            streaming.config().cv);
+  EXPECT_EQ(absorbed.kappa0, evidence.kappa0);
+  EXPECT_EQ(absorbed.nu0, evidence.nu0);
+  EXPECT_EQ(absorbed.score, evidence.score);
+  EXPECT_TRUE(std::isfinite(absorbed.moments.mean[0]));
 }
 
 TEST_F(StreamingParity, NominalImmutableOnceObserved) {
@@ -663,6 +667,22 @@ TEST(StreamingApi, BatchObserveAllocationsDoNotGrowWithRowCount) {
         << "16 rows: " << allocations[0] << " allocations, 64 rows: "
         << allocations[1];
   }
+}
+
+TEST(StreamingApi, BlockFillsReuseTheBuffersACarryRetires) {
+  // 1 + 1024 rows into one mle fold stream fill 16 blocks. A carry adds in
+  // place and hands the buffers it retires to the next open block, so only
+  // the 8 fills that do not carry allocate one (sum vector + outer-sum
+  // matrix); the rest is runs_ growth and the batch's two row buffers:
+  // 2 + 8 * 2 + 4 = 22 with libstdc++ (67 when every fill allocated a
+  // fresh block and every carry a fresh sum).
+  MleEstimator mle;
+  mle.observe(synthetic_samples(1, 4, 3));
+  const Matrix batch = synthetic_samples(1024, 4, 4);
+  const std::uint64_t before = common::allocation_count();
+  mle.observe(batch);
+  const std::uint64_t allocations = common::allocation_count() - before;
+  EXPECT_LE(allocations, 22u);
 }
 
 // --------------------------------------------------------- snapshot memo
